@@ -101,7 +101,6 @@ func BenchmarkTenantIsolation(b *testing.B) {
 			src = workload.NewTenantMix(cfg.FreqHz, []workload.TenantSpec{workload.VictimSpec(1)}, 21)
 		}
 		nic := core.NewNIC(cfg, []engine.Source{src})
-		defer nic.Close()
 		nic.Run(300_000)
 		return nic.HostLat.Tenant(1).P99()
 	}

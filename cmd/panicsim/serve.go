@@ -34,7 +34,6 @@ func runServe(freq, line float64, meshK, width, pipelines int, warmKeys, seed ui
 	}
 	ports := serve.NewIngestSources(cfg.Ports)
 	nic := core.NewNIC(cfg, serve.AsEngineSources(ports))
-	defer nic.Close()
 	for k := uint64(0); k < warmKeys; k++ {
 		nic.Cache.Warm(k, cfg.HostValueBytes)
 	}

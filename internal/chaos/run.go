@@ -40,7 +40,6 @@ func Run(s Scenario) (f *Failure) {
 		return runFleet(s)
 	}
 	nic := buildNIC(s)
-	defer nic.Close()
 	nic.Run(s.Cycles)
 	// One final unthrottled pass so end-of-run state is audited even when
 	// the horizon is not a multiple of the sampling interval.
@@ -78,7 +77,6 @@ func buildFleet(s Scenario) *fleet.Fleet {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.QueueCap = s.QueueCap
-	cfg.Workers = s.Workers
 	cfg.FastForward = s.FastForward
 	cfg.NoFlowCache = s.NoFlowCache
 	cfg.HeapSchedQueue = s.HeapSchedQueue
@@ -138,7 +136,6 @@ func buildNIC(s Scenario) *core.NIC {
 	cfg := core.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.QueueCap = s.QueueCap
-	cfg.Workers = s.Workers
 	cfg.FastForward = s.FastForward
 	cfg.NoFlowCache = s.NoFlowCache
 	cfg.HeapSchedQueue = s.HeapSchedQueue

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -28,7 +30,6 @@ func BenchmarkInvariantOverhead(b *testing.B) {
 			cfg.Health = DefaultHealthConfig()
 			cfg.Invariants = c.inv
 			nic := NewNIC(cfg, benchSources(0.9, nil))
-			defer nic.Close()
 			nic.Run(2_000) // warm caches and fill the pipeline
 			before := nic.WireLat.Count + nic.HostLat.Count
 			b.ResetTimer()
@@ -52,49 +53,53 @@ func BenchmarkInvariantOverhead(b *testing.B) {
 // TestInvariantOverheadBound is the acceptance gate: at the default
 // sampling interval the armed monitor may cost at most 5% of saturating
 // throughput. Identical simulated work runs with the monitor off and on
-// (the stream is bit-identical by construction), so the ratio of the best
-// wall times bounds the overhead; three interleaved trials with min-taking
-// absorb scheduler noise.
+// (the stream is bit-identical by construction), so the on/off wall-time
+// ratio bounds the overhead. The runs are paired: each pair advances an
+// off NIC and an on NIC over the same horizon in alternating chunks,
+// swapping which side goes first every chunk, so host load that comes and
+// goes lands on both sides instead of on whichever ran second. Each pair
+// starts from a collected heap, and the gate takes the median of the
+// three paired ratios.
 func TestInvariantOverheadBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock measurement; skipped in -short")
 	}
-	const cycles = 150_000
-	measure := func(inv *invariant.Config) time.Duration {
+	const cycles, chunk = 150_000, 10_000
+	build := func(inv *invariant.Config) *NIC {
 		cfg := DefaultConfig()
 		cfg.TenantWeights = map[uint16]uint64{1: 3, 2: 1}
 		cfg.Health = DefaultHealthConfig()
 		cfg.Invariants = inv
 		nic := NewNIC(cfg, benchSources(0.9, nil))
-		defer nic.Close()
 		nic.Run(2_000)
-		start := time.Now()
-		nic.Run(cycles)
-		elapsed := time.Since(start)
-		if inv != nil {
-			if err := nic.Invar.Err(); err != nil {
-				t.Fatalf("gate run not invariant-clean: %v", err)
+		return nic
+	}
+	// One throwaway run warms the process, then three pairs.
+	build(nil).Run(cycles)
+	var ratios []float64
+	for i := 0; i < 3; i++ {
+		nics := [2]*NIC{build(nil), build(&invariant.Config{})}
+		runtime.GC()
+		var took [2]time.Duration
+		for c := 0; c < cycles/chunk; c++ {
+			for j := 0; j < 2; j++ {
+				side := (c + j) % 2
+				start := time.Now()
+				nics[side].Run(chunk)
+				took[side] += time.Since(start)
 			}
 		}
-		return elapsed
-	}
-	best := func(inv *invariant.Config) time.Duration {
-		b := time.Duration(1<<63 - 1)
-		for i := 0; i < 3; i++ {
-			if d := measure(inv); d < b {
-				b = d
-			}
+		if err := nics[1].Invar.Err(); err != nil {
+			t.Fatalf("gate run not invariant-clean: %v", err)
 		}
-		return b
+		ratios = append(ratios, float64(took[1])/float64(took[0]))
+		t.Logf("pair %d: off=%v on=%v ratio=%.4f", i, took[0], took[1], ratios[i])
 	}
-	// Interleave: one throwaway pair warms the process, then best-of-3.
-	measure(nil)
-	off := best(nil)
-	on := best(&invariant.Config{})
-	overhead := float64(on-off) / float64(off)
-	t.Logf("off=%v on=%v overhead=%.2f%%", off, on, overhead*100)
+	sort.Float64s(ratios)
+	overhead := ratios[len(ratios)/2] - 1
+	t.Logf("median paired overhead=%.2f%%", overhead*100)
 	if overhead > 0.05 {
-		t.Errorf("invariant monitor costs %.1f%% at the default interval, budget is 5%% (off=%v on=%v)",
-			overhead*100, off, on)
+		t.Errorf("invariant monitor costs %.1f%% at the default interval (paired on/off ratios %.4f), budget is 5%%",
+			overhead*100, ratios)
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"github.com/panic-nic/panic/internal/workload"
 )
 
-// benchTraceNIC is benchNIC's single-worker saturating configuration with
-// an optional tracer attached. An uncapped MaxSpans would hold every span
-// of a long -benchtime run, so the cap stays at the default and Dropped
-// absorbs the tail; span emission cost is identical either way.
+// benchTraceNIC is benchNIC's saturating configuration with an optional
+// tracer attached. An uncapped MaxSpans would hold every span of a long
+// -benchtime run, so the cap stays at the default and Dropped absorbs the
+// tail; span emission cost is identical either way.
 func benchTraceNIC(tr *trace.Tracer) *NIC {
 	cfg := DefaultConfig()
 	cfg.Tracer = tr
@@ -50,7 +50,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			tr := c.tracer()
 			nic := benchTraceNIC(tr)
-			defer nic.Close()
 			nic.Run(2_000) // warm caches and fill the pipeline
 			b.ResetTimer()
 			nic.Run(uint64(b.N))

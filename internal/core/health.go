@@ -108,9 +108,9 @@ var ctlCodes = map[string]uint32{
 }
 
 // AttachTracer mirrors the log into the trace as control spans on a
-// dedicated buffer. Events are appended only from the sequential event and
-// serial phases (fault plans and the health monitor), so one shared buffer
-// keeps the single-writer rule.
+// dedicated buffer. Events are appended only from the event and serial
+// phases (fault plans and the health monitor), which run in a fixed order
+// in every kernel mode, so one shared buffer suffices.
 func (l *EventLog) AttachTracer(tr *trace.Tracer) {
 	if tr == nil {
 		return
@@ -207,9 +207,11 @@ type watch struct {
 
 // HealthMonitor is the self-healing control plane. It implements
 // sim.Ticker and must be registered with RegisterSerial, after every tile:
-// each check samples the cycle's final state, and its probes and recovery
-// actions read and rewrite state owned by many tiles (steering tables,
-// queue resets), which must never run concurrently with the Eval shards;
+// each check samples the cycle's final state, its probes and recovery
+// actions rewrite state owned by many tiles (steering tables, queue
+// resets), which every tile must see at the same cycle rather than only
+// the tiles that tick after the monitor, and its stall clocks need a tick
+// every cycle even while the watched tiles sleep in the event-driven loop;
 // NewNIC does this. All recovery actions go through the same control
 // interfaces real hardware exposes: RMT table rewrites, route-table binds,
 // and tile resets.

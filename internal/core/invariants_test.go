@@ -115,7 +115,6 @@ func TestInvariantPassCyclesMatchTickedOracle(t *testing.T) {
 			kvsSource(120, 0.9, 0.3, 17),
 			tenantGetSource(2, 120, 19),
 		})
-		defer nic.Close()
 		var cycles []uint64
 		nic.Invar.AddCheck("pass-recorder", func(c uint64) error {
 			cycles = append(cycles, c)

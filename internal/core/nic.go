@@ -122,14 +122,11 @@ type Config struct {
 	// the message. The fleet layer uses it to pick rack-destined frames
 	// (IP dst in 172.0.0.0/8, another NIC's subnet) off the wire and walk
 	// them through the ToR model. The tap runs inside the MACs' staged
-	// sinks during the sequential Commit phase, so it needs no locking
-	// and fires in deterministic (port, delivery) order. Nil costs
-	// nothing.
+	// sinks during the Commit phase, so it fires in deterministic (port,
+	// delivery) order, and it writes only state owned by this NIC's
+	// kernel, so it needs no locking even when fleet shards run NICs on
+	// separate goroutines. Nil costs nothing.
 	RackTap func(m *packet.Message, now uint64) bool
-	// Workers is the kernel's Eval worker-pool size: 0 or 1 runs the
-	// classic sequential loop; N > 1 shards the Eval phase across N
-	// goroutines. The simulation result is bit-identical either way.
-	Workers int
 	// FastForward lets the kernel jump the clock over provably idle cycles
 	// (every component quiescent, no event due). Off by default.
 	FastForward bool
@@ -249,7 +246,6 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 		Drops:   &stats.Counter{},
 	}
 	b := NewBuilder(cfg.FreqHz, cfg.Mesh, cfg.Seed)
-	b.Kernel.SetWorkers(cfg.Workers)
 	b.Kernel.SetFastForward(cfg.FastForward)
 	b.Kernel.SetEventDriven(!cfg.NoEventEngine)
 	b.Tracer = cfg.Tracer
@@ -258,12 +254,12 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	n.Program = BuildProgram(cfg.Program)
 	n.Host = NewKVSHost(cfg.HostCycles, cfg.HostValueBytes)
 
-	// The drop counter is shared by every tile but atomic: increments
-	// commute, so concurrent Eval shards reach the same final count as
-	// sequential ticking.
+	// One drop counter is shared by every tile: increments commute, so the
+	// count does not depend on the order tiles tick in.
 	dropSink := engine.SinkFunc(func(*packet.Message, uint64) { n.Drops.Inc() })
 	// Terminal-sink Deliver spans share one buffer: StagedSink targets run
-	// during the sequential Commit phase, so the single writer rule holds.
+	// during the Commit phase in registration order, so the buffer fills in
+	// the same order in every kernel mode.
 	var sinksBuf *trace.Buffer
 	if cfg.Tracer != nil {
 		cfg.Tracer.NameLoc(trace.LocSink, sinkHost, "host")
@@ -317,8 +313,8 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	// West edge: Ethernet MACs (fabric edge, external interfaces). The wire
 	// collector is shared by every port, so each MAC writes through its own
 	// StagedSink, registered right after its tile: deliveries buffer
-	// privately during Eval and flush at Commit in tile order, keeping the
-	// collector identical across worker counts.
+	// privately during Eval and flush at Commit in tile order, and the rack
+	// tap sees frames at Commit like every other staged write.
 	for p := 0; p < cfg.Ports; p++ {
 		var src engine.Source
 		if p < len(sources) {
@@ -352,8 +348,9 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	for i := 0; i < cfg.RMTPipelines; i++ {
 		pipe := rmt.NewPipeline(n.Program, 1, 1)
 		if !cfg.NoFlowCache {
-			// Each pipeline gets a private cache (no shared mutable state
-			// under the parallel kernel); verdicts are identical either way.
+			// Each pipeline gets a private cache: with a shared one, a
+			// same-cycle insert by one pipeline would decide another's hit
+			// by tick order. Verdicts are identical either way.
 			pipe.EnableFlowCache()
 		}
 		b.PlaceRMT(AddrRMTBase+packet.Addr(i), rmtX, rmtY(i), pipe, common,
@@ -510,9 +507,9 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 			mon.SetStandbys(a, standbysFor(dmaGroup, a))
 		}
 		// Registered serial, after every tile: each check samples the
-		// cycle's final state, and its probes and table rewrites touch
-		// state owned by many tiles, so it must never run concurrently
-		// with the Eval shards.
+		// cycle's final state, its table rewrites must not be visible to
+		// only the tiles that tick after it, and it must run every cycle
+		// even while the tiles it watches sleep.
 		b.Kernel.RegisterSerial(mon)
 		n.Monitor = mon
 	}
@@ -545,8 +542,9 @@ const (
 )
 
 // tracedSink wraps a StagedSink target with Deliver-span emission. Targets
-// run in the sequential Commit phase, so every tracedSink can share the
-// one "sinks" buffer without violating the single-writer rule.
+// run in the Commit phase in StagedSink registration order, so every
+// tracedSink can share the one "sinks" buffer and its spans still land in
+// the same order in every kernel mode.
 type tracedSink struct {
 	inner engine.Sink
 	buf   *trace.Buffer
@@ -567,7 +565,7 @@ func (s tracedSink) Deliver(m *packet.Message, now uint64) {
 }
 
 // tapSink gives a Config.RackTap first refusal on wire deliveries. Like
-// tracedSink it runs in the sequential Commit phase.
+// tracedSink it runs in the Commit phase.
 type tapSink struct {
 	tap   func(*packet.Message, uint64) bool
 	inner engine.Sink
@@ -598,9 +596,10 @@ func (n *NIC) Run(cycles uint64) { n.Builder.Kernel.Run(cycles) }
 // Now returns the current cycle.
 func (n *NIC) Now() uint64 { return n.Builder.Kernel.Now() }
 
-// Close releases the kernel's worker pool (a no-op for sequential runs).
-// The NIC remains usable; a later Run restarts the pool on demand.
-func (n *NIC) Close() { n.Builder.Kernel.Shutdown() }
+// Close is a no-op kept for callers that release NICs uniformly with
+// fleets: a NIC's kernel runs on the caller's goroutine and holds nothing
+// to release. The NIC remains usable.
+func (n *NIC) Close() {}
 
 // RunQuiet runs until no message has been delivered or dropped for
 // idleWindow cycles, or until maxCycles elapse. It reports whether the NIC

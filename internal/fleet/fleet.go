@@ -17,8 +17,11 @@
 // a message another shard has not yet produced. Because the barrier
 // processes NICs in canonical order (0..N-1, buffers in append order,
 // batches stable-sorted by arrival cycle), the simulation is
-// byte-identical for ANY shard count and any per-NIC kernel mode
-// (sequential / parallel Eval / fast-forward).
+// byte-identical for ANY shard count and any per-NIC kernel mode (ticked
+// oracle / event-driven, fast-forward on or off). Shards are the
+// simulator's only parallelism: each NIC's kernel is sequential, its state
+// is touched by one shard goroutine per epoch, and the epoch barrier is the
+// happens-before edge between shards.
 package fleet
 
 import (
@@ -360,7 +363,7 @@ func (f *Fleet) Violations() []invariant.Violation {
 	return out
 }
 
-// Close releases the shard goroutines and every kernel's worker pool.
+// Close releases the shard goroutines.
 func (f *Fleet) Close() { f.set.Shutdown() }
 
 // Fingerprint reduces the rack to one byte-comparable string: the ToR

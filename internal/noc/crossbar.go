@@ -28,10 +28,10 @@ type CrossbarConfig struct {
 // in one arbitration step. Each output accepts one message at a time,
 // serialized at flit width; each input feeds one output at a time.
 //
-// The crossbar Evals as a single unit (srcBusy couples all outputs), but
-// its callers may run in parallel: Inject touches only the caller's own
-// injection queue and per-node counter, and the cycle number is published
-// by Begin before Eval starts, so no Inject races with crossbar state.
+// The crossbar Evals as a single unit (srcBusy couples all outputs). Inject
+// touches only the caller's own injection queue and per-node counter, and
+// the cycle number is published by Begin before Eval starts, so an Inject
+// sees the same crossbar state whether the crossbar ticked first or not.
 type Crossbar struct {
 	cfg      CrossbarConfig
 	injQ     []*sim.FIFO[injEntry]

@@ -14,9 +14,10 @@ import "sync"
 // produce byte-identical messages, so pooling never affects simulation
 // results (only the allocator).
 //
-// The pool is mutex-guarded: under a parallel Eval phase several tiles may
-// Get concurrently. Which caller wins a recycled shell is therefore
-// scheduling-dependent, which is safe precisely because of the rule above.
+// The pool is mutex-guarded so one pool may serve generators on several
+// NICs of a sharded fleet, whose kernels run on separate goroutines. Which
+// caller wins a recycled shell is then scheduling-dependent, which is safe
+// precisely because of the rule above.
 type MessagePool struct {
 	mu   sync.Mutex
 	free []*Message

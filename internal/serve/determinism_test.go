@@ -48,11 +48,10 @@ func mustEnqueue(t *testing.T, s *Server, name string, barrier uint64, fn func(*
 // barrier 4, edit the RMT program at barrier 6, inject a fault plan at
 // barrier 8, then run to a fixed horizon. Returns (summary+tenant report,
 // oplog JSON, Chrome trace JSON).
-func reloadScenario(t *testing.T, workers int, fastForward bool) (string, string, string) {
+func reloadScenario(t *testing.T, fastForward bool) (string, string, string) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Seed = 7
-	cfg.Workers = workers
 	cfg.FastForward = fastForward
 	cfg.IPSecReplicas = 2
 	cfg.TenantWeights = map[uint16]uint64{1: 1, 2: 1}
@@ -60,7 +59,6 @@ func reloadScenario(t *testing.T, workers int, fastForward bool) (string, string
 	cfg.Tracer = tracer
 	ports := NewIngestSources(cfg.Ports)
 	nic := core.NewNIC(cfg, AsEngineSources(ports))
-	defer nic.Close()
 	s := New(Config{BarrierCycles: 4096, Spin: true}, nic, tracer, ports)
 
 	recs := scenarioRecords()
@@ -118,28 +116,14 @@ func reloadScenario(t *testing.T, workers int, fastForward bool) (string, string
 
 // TestHotReloadDeterminism is the serve plane's acceptance test: the same
 // barrier-pinned reload sequence must produce byte-identical stats,
-// oplog, and exported trace across the sequential kernel, 2- and 8-worker
-// parallel kernels, and fast-forward — because every mutation lands at
-// cycle barrier*quantum regardless of how the kernel covers the cycles in
-// between.
+// oplog, and exported trace with fast-forward off and on — because every
+// mutation lands at cycle barrier*quantum regardless of how the kernel
+// covers the cycles in between.
 func TestHotReloadDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-mode NIC runs are slow")
 	}
-	type mode struct {
-		name    string
-		workers int
-		ff      bool
-	}
-	modes := []mode{
-		{"sequential", 0, false},
-		{"sequential+ff", 0, true},
-		{"2-workers", 2, false},
-		{"2-workers+ff", 2, true},
-		{"8-workers", 8, false},
-		{"8-workers+ff", 8, true},
-	}
-	wantFP, wantOplog, wantTrace := reloadScenario(t, modes[0].workers, modes[0].ff)
+	wantFP, wantOplog, wantTrace := reloadScenario(t, false)
 	if !strings.Contains(wantFP, "host deliveries") {
 		t.Fatalf("summary looks empty:\n%s", wantFP)
 	}
@@ -149,17 +133,15 @@ func TestHotReloadDeterminism(t *testing.T) {
 	if !strings.Contains(wantOplog, "inject-faults") {
 		t.Fatalf("oplog missing scheduled ops:\n%s", wantOplog)
 	}
-	for _, m := range modes[1:] {
-		fp, oplog, tr := reloadScenario(t, m.workers, m.ff)
-		if fp != wantFP {
-			t.Errorf("mode %s: stats diverged from sequential:\nwant:\n%s\ngot:\n%s", m.name, wantFP, fp)
-		}
-		if oplog != wantOplog {
-			t.Errorf("mode %s: oplog diverged:\nwant: %s\ngot:  %s", m.name, wantOplog, oplog)
-		}
-		if tr != wantTrace {
-			t.Errorf("mode %s: exported trace diverged from sequential (%d vs %d bytes)", m.name, len(tr), len(wantTrace))
-		}
+	fp, oplog, tr := reloadScenario(t, true)
+	if fp != wantFP {
+		t.Errorf("fast-forward: stats diverged:\nwant:\n%s\ngot:\n%s", wantFP, fp)
+	}
+	if oplog != wantOplog {
+		t.Errorf("fast-forward: oplog diverged:\nwant: %s\ngot:  %s", wantOplog, oplog)
+	}
+	if tr != wantTrace {
+		t.Errorf("fast-forward: exported trace diverged (%d vs %d bytes)", len(tr), len(wantTrace))
 	}
 }
 
@@ -181,7 +163,6 @@ func TestBarrierPlacementInvariant(t *testing.T) {
 			})
 		}
 		s.RunBarriers(10)
-		nic.Close()
 		want := []uint64{1000, 3000, 7000}
 		if len(atCycles) != len(want) {
 			t.Fatalf("ff=%v: %d ops applied, want %d", ff, len(atCycles), len(want))

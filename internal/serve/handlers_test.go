@@ -34,7 +34,6 @@ func testServer(t *testing.T, withTracer bool) (*Server, *httptest.Server) {
 		ts.Close()
 		s.Stop()
 		s.Wait()
-		nic.Close()
 	})
 	return s, ts
 }

@@ -55,7 +55,6 @@ func loadServer(t *testing.T) (*Server, net.Addr, *atomic.Int64, *atomic.Int64) 
 		hs.Close()
 		s.Stop()
 		s.Wait()
-		nic.Close()
 	})
 	return s, ln.Addr(), &cur, &peak
 }
@@ -218,7 +217,6 @@ func TestLoadIngestOverhead(t *testing.T) {
 		cfg.TenantWeights = map[uint16]uint64{1: 1, 2: 1}
 		ports := NewIngestSources(cfg.Ports)
 		nic := core.NewNIC(cfg, AsEngineSources(ports))
-		defer nic.Close()
 		s := New(Config{Spin: true}, nic, nil, ports)
 		for i := 0; i < clients; i++ {
 			recs := loadRecords(perClient)

@@ -12,21 +12,23 @@
 //
 // # Determinism contract
 //
-// The kernel may run its Eval phase on a worker pool (sim.Kernel
-// SetWorkers), so instrumented components cannot write into one shared
-// stream without racing. Instead, every emitting component owns a private
-// Buffer (one per tile, one per mesh router, one per sequential-phase
-// group such as the staged terminal sinks or the control plane), obtained
-// from the Tracer at assembly time. During a cycle each component appends
-// spans only to its own buffer — single writer, program order. The Tracer
-// itself is a sim.Committer registered LAST on the kernel: at the Commit
-// phase, after every staged sink has flushed, it drains all buffers into
-// the master span stream in buffer-creation order. Creation order is fixed
-// by NIC assembly, so the resulting stream is byte-identical across
-// sequential, 2-worker, and N-worker kernels, with idle-cycle fast-forward
-// on or off (skipped cycles run no phases and can emit nothing — a
-// component with a non-empty buffer is never quiescent, because it emitted
-// while doing work).
+// Spans are emitted in several phases of a cycle (Eval, the serial
+// control plane, staged sinks at Commit), and the event-driven kernel
+// ticks a different subset of components each cycle than the ticked
+// oracle, so appending straight to one shared stream would order it by
+// phase and tick schedule. Instead, every emitting component owns a
+// private Buffer (one per tile, one per mesh router, one per serial- or
+// Commit-phase group such as the staged terminal sinks or the control
+// plane), obtained from the Tracer at assembly time. During a cycle each
+// component appends spans only to its own buffer, in program order. The
+// Tracer itself is a sim.Committer registered LAST on the kernel: at the
+// Commit phase, after every staged sink has flushed, it drains all
+// buffers into the master span stream in buffer-creation order. Creation
+// order is fixed by NIC assembly, so the resulting stream is
+// byte-identical between the ticked oracle and the event-driven kernel,
+// with idle-cycle fast-forward on or off (skipped cycles run no phases and
+// can emit nothing — a component with a non-empty buffer is never
+// quiescent, because it emitted while doing work).
 //
 // # Cost contract
 //
@@ -244,7 +246,7 @@ type Options struct {
 	// Sample keeps one message in N: a message is traced when
 	// TraceID % Sample == 0. 0 or 1 traces everything. Sampling is a
 	// pure function of the ID, so the same messages are traced on every
-	// run and on every worker count.
+	// run and in every kernel mode.
 	Sample uint64
 	// MaxSpans caps the master stream; further spans are counted in
 	// Set.Dropped instead of stored (no silent truncation: exports and
