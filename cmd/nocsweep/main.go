@@ -33,9 +33,18 @@ func main() {
 	seed := flag.Uint64("seed", 1, "seed")
 	flag.Parse()
 
+	sizes, err := parsePositiveInts("-mesh", *meshes)
+	if err != nil {
+		usageError(err)
+	}
+	widthList, err := parsePositiveInts("-width", *widths)
+	if err != nil {
+		usageError(err)
+	}
+
 	t := stats.NewTable("Topo", "Width", "Bisec(Gbps)", "Bound(Gbps)", "Sat(Gbps)", "Sat/Bound", "MeanLat(cyc)", "ChainLen@line")
-	for _, k := range parseInts(*meshes) {
-		for _, w := range parseInts(*widths) {
+	for _, k := range sizes {
+		for _, w := range widthList {
 			cfg := noc.DefaultMeshConfig()
 			cfg.Width, cfg.Height, cfg.FlitWidthBits = k, k, w
 			m := noc.NewMesh(cfg)
@@ -81,15 +90,26 @@ func printCurve(k, w int, freq float64, msgBytes int, warmup, window, seed uint6
 	fmt.Println()
 }
 
-func parseInts(s string) []int {
+// parsePositiveInts parses a flag's comma-separated list of mesh sizes or
+// channel widths; each must be an integer of at least 1.
+func parsePositiveInts(name, s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad integer %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("%s: bad integer %q", name, part)
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("%s: %d is below 1", name, v)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
+}
+
+// usageError reports a bad flag value with the usage text and exits 2.
+func usageError(err error) {
+	fmt.Fprintln(os.Stderr, "nocsweep:", err)
+	flag.Usage()
+	os.Exit(2)
 }

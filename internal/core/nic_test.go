@@ -276,3 +276,13 @@ func TestNICSummaryRenders(t *testing.T) {
 		t.Fatal("empty summary")
 	}
 }
+
+func TestDefaultNICCommitterCount(t *testing.T) {
+	// The mesh commits its own lanes and local queues, so the whole fabric
+	// is one kernel committer instead of one per router buffer: the Commit
+	// phase of a default NIC visits a handful of components.
+	nic := NewNIC(DefaultConfig(), []engine.Source{kvsSource(1, 1.0, 0, 1)})
+	if n := nic.Builder.Kernel.Committers(); n > 8 {
+		t.Errorf("default NIC registers %d kernel committers, want at most 8", n)
+	}
+}

@@ -99,20 +99,21 @@ func (c *Crossbar) FlitsFor(msg *packet.Message) int {
 }
 
 // CanInject implements Fabric.
-func (c *Crossbar) CanInject(src, _ NodeID) bool { return c.injQ[src].CanPush() }
+func (c *Crossbar) CanInject(src, dst NodeID) bool {
+	checkNode("CanInject dst", dst, c.cfg.Nodes)
+	return c.injQ[checkNode("CanInject src", src, c.cfg.Nodes)].CanPush()
+}
 
 // Inject implements Fabric.
 func (c *Crossbar) Inject(src, dst NodeID, msg *packet.Message) {
-	if int(dst) < 0 || int(dst) >= c.cfg.Nodes {
-		panic(fmt.Sprintf("noc: Inject to invalid node %d", dst))
-	}
-	c.injQ[src].Push(injEntry{msg: msg, dst: dst, flits: c.FlitsFor(msg), enqued: c.now})
+	checkNode("Inject dst", dst, c.cfg.Nodes)
+	c.injQ[checkNode("Inject src", src, c.cfg.Nodes)].Push(injEntry{worm: worm{msg: msg, dst: dst, enq: c.now}, flits: c.FlitsFor(msg)})
 	c.injected[src]++
 }
 
 // TryEject implements Fabric.
 func (c *Crossbar) TryEject(node NodeID) (*packet.Message, bool) {
-	q := c.ejectQ[node]
+	q := c.ejectQ[checkNode("TryEject", node, c.cfg.Nodes)]
 	if !q.CanPop() {
 		return nil, false
 	}
@@ -121,7 +122,7 @@ func (c *Crossbar) TryEject(node NodeID) (*packet.Message, bool) {
 
 // HasEjectable implements Fabric.
 func (c *Crossbar) HasEjectable(node NodeID) bool {
-	return c.ejectQ[node].CanPop()
+	return c.ejectQ[checkNode("HasEjectable", node, c.cfg.Nodes)].CanPop()
 }
 
 // Stats returns a copy of the accumulated statistics.
@@ -193,7 +194,7 @@ func (c *Crossbar) Tick(cycle uint64) {
 			}
 			c.injQ[s].Pop()
 			c.srcBusy[s] = true
-			c.xfer[o] = xbarXfer{active: true, src: s, remaining: e.flits + c.cfg.TraversalLatency, msg: e.msg, enqued: e.enqued}
+			c.xfer[o] = xbarXfer{active: true, src: s, remaining: e.flits + c.cfg.TraversalLatency, msg: e.msg, enqued: e.enq}
 			c.rrNext[o] = (s + 1) % c.cfg.Nodes
 			break
 		}

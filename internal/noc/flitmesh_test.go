@@ -1,0 +1,861 @@
+package noc
+
+// flitMesh is the flit-granular reference mesh: every flit is pushed,
+// popped and committed through a sim.FIFO at every hop. It is the router
+// the worm mesh must reproduce cycle for cycle, kept unchanged apart from
+// renaming so that TestMeshDifferential and FuzzMeshDifferential compare
+// against the flit-by-flit model itself.
+
+import (
+	"fmt"
+
+	"github.com/panic-nic/panic/internal/packet"
+	"github.com/panic-nic/panic/internal/sim"
+	"github.com/panic-nic/panic/internal/trace"
+)
+
+// Flit is the unit of flow control. Only the head flit carries the message
+// pointer; body flits model wire occupancy.
+type Flit struct {
+	// Msg is non-nil on the head flit only.
+	Msg *packet.Message
+	// Dst is the destination node, present on every flit of the packet so
+	// body flits can follow the wormhole.
+	Dst NodeID
+	// Head and Tail mark the first and last flit (both set for a
+	// single-flit message).
+	Head, Tail bool
+	// Enq is the cycle the message was injected (head flit only), for
+	// latency accounting.
+	Enq uint64
+	// VC is the virtual channel the packet was assigned at injection; it
+	// selects the buffer lane at every hop.
+	VC int
+}
+
+// flitMesh is a 2D mesh of wormhole routers. It implements Fabric, sim.Ticker,
+// sim.Preparer (publishing the cycle before Eval), sim.EventAware (letting
+// idle routers sleep), and sim.Quiescer (reporting idleness for
+// fast-forward); RegisterWith attaches it and all its staged queues to a
+// kernel. The whole mesh is one Ticker: routers only read committed state
+// from their neighbors' queues and stage writes into them, so the order in
+// which Tick visits them does not matter.
+//
+// All statistics are accumulated per flitRouter — each flitRouter's local port is
+// owned by exactly one tile — and summed on demand by Stats.
+type flitMesh struct {
+	cfg     MeshConfig
+	vcs     int
+	routers []*flitRouter
+	now     uint64
+	// statsReset records that ResetStats zeroed the delivered counters,
+	// which disarms the delivered-vs-ejected audit (occIn/occOut survive).
+	statsReset bool
+
+	// Event-mode state (see sim.EventAware). eventOn mirrors the kernel's
+	// mode each cycle; selfPoke raises the mesh's kernel-level wake flag
+	// when a tile or control plane touches mesh state from outside a mesh
+	// tick; tileWake[node] wakes the local tile when the mesh hands it an
+	// arrival or returns an injection credit; tickAll forces every flitRouter
+	// live for one cycle (the kernel's wake-all contract).
+	k        *sim.Kernel
+	eventOn  bool
+	selfPoke sim.Poker
+	tileWake []sim.Poker
+	tickAll  bool
+}
+
+// flitInjEntry is a message waiting at a local injection port.
+type flitInjEntry struct {
+	msg    *packet.Message
+	dst    NodeID
+	flits  int
+	enqued uint64
+}
+
+type flitRouter struct {
+	m      *flitMesh
+	id     NodeID
+	x, y   int
+	in     [numPorts][]*sim.FIFO[Flit] // [port][vc]; in[portLocal] unused
+	inj    flitInjector
+	ejectQ *sim.FIFO[*packet.Message]
+	// nextPort[dst] is the precomputed XY-routing output port for every
+	// destination node — the per-flit route computation reduced to one
+	// table read, as a real flitRouter's route-compute stage would be a small
+	// combinational lookup.
+	nextPort []uint8
+	// heads[p][v] caches the head flit of input (p, vc) for the duration
+	// of one tick, so output arbitration reads an array instead of
+	// re-peeking FIFOs O(outputs × inputs) times. Entries go stale only
+	// after a pop, and consumed[p] already guards every read after a pop.
+	heads [numPorts][]flitHeadState
+	// assembly reassembles one message per VC at the local output.
+	assembly []struct {
+		msg    *packet.Message
+		enqued uint64
+	}
+	// holder[out][vc] is the input port whose wormhole owns that VC lane
+	// of the output, or -1.
+	holder   [numPorts][]int
+	rrIn     [numPorts]int // round-robin pointer over inputs, per output
+	rrVC     [numPorts]int // round-robin pointer over VCs, per output
+	consumed [numPorts]bool
+	neighbor [numPorts]*flitRouter
+	// linkFault[o] is the injected fault on the outgoing link at port o
+	// (zero value = healthy). Local ports cannot fault.
+	linkFault [numPorts]LinkFault
+	// stats are this flitRouter's counters. injected/ejected are written by
+	// the local tile; the rest by the flitRouter's own tick.
+	stats flitRouterStats
+	// tb is this flitRouter's trace buffer (nil when tracing is off); see
+	// AttachTracer.
+	tb *trace.Buffer
+
+	// Event-mode liveness. A flitRouter whose tick moves no flit changes no
+	// state at all (round-robin pointers, holders, assembly, and counters
+	// only mutate on a send), so it can sleep until one of its inputs,
+	// credits, or faults changes — each such edge pokes it. active means
+	// the last tick moved a flit (stay awake); poked is the level-
+	// triggered external wake, consumed into live by flitMesh.Begin (before
+	// Eval, so a poke raised mid-Eval cannot change this cycle's live set
+	// depending on tick order); faultWake is the next cycle a
+	// PassEveryN-limited output with a waiting candidate opens (0 = none):
+	// fault windows open by the clock, not by a poke.
+	active    bool
+	live      bool
+	poked     bool
+	faultWake uint64
+}
+
+// poke marks the flitRouter live for the next cycle (or the current one if
+// called from a start-of-cycle event, before Begin samples the flags).
+func (r *flitRouter) poke() { r.poked = true }
+
+// flitHeadState is one input lane's cached head flit for the current tick.
+type flitHeadState struct {
+	f  Flit
+	ok bool
+}
+
+// flitRouterStats are one flitRouter's contribution to the mesh totals. occIn and
+// occOut count every message ever injected at / ejected from this flitRouter
+// and are never reset: summed over all routers their difference is the
+// in-flight message count, which the fast-forward quiescence check uses.
+type flitRouterStats struct {
+	injected     uint64
+	occIn        uint64
+	occOut       uint64
+	delivered    uint64
+	flitHops     uint64
+	totalLatency uint64
+}
+
+// flitInjector serializes queued messages into flits at the local input port.
+// Each virtual channel has an independent lane, so a backpressured packet
+// does not block later packets on other VCs; the physical port still
+// emits at most one flit per cycle. Packets are assigned to VCs by
+// destination, which preserves per-(src,dst) ordering — packets to the
+// same destination always share a lane and a single wormhole path.
+type flitInjector struct {
+	lanes []flitInjLane
+}
+
+type flitInjLane struct {
+	q     *sim.FIFO[flitInjEntry]
+	cur   flitInjEntry
+	sent  int
+	valid bool
+}
+
+// vcFor maps a destination to its virtual channel.
+func (i *flitInjector) vcFor(dst NodeID) int { return int(dst) % len(i.lanes) }
+
+// peek returns the candidate flit on the given VC lane, if any. An idle
+// lane offers the head of its own message queue.
+func (i *flitInjector) peek(vc int) (Flit, bool) {
+	l := &i.lanes[vc]
+	if l.valid {
+		last := l.sent == l.cur.flits-1
+		return Flit{Dst: l.cur.dst, VC: vc, Head: false, Tail: last}, true
+	}
+	e, ok := l.q.Peek()
+	if !ok {
+		return Flit{}, false
+	}
+	return Flit{Msg: e.msg, Dst: e.dst, VC: vc, Head: true, Tail: e.flits == 1, Enq: e.enqued}, true
+}
+
+func (i *flitInjector) pop(vc int) {
+	l := &i.lanes[vc]
+	if l.valid {
+		l.sent++
+		if l.sent == l.cur.flits {
+			l.valid = false
+		}
+		return
+	}
+	e := l.q.Pop()
+	if e.flits > 1 {
+		l.cur, l.sent, l.valid = e, 1, true
+	}
+}
+
+// newFlitMesh builds a Width×Height mesh.
+func newFlitMesh(cfg MeshConfig) *flitMesh {
+	if cfg.Width < 1 || cfg.Height < 1 {
+		panic(fmt.Sprintf("noc: invalid mesh %dx%d", cfg.Width, cfg.Height))
+	}
+	if cfg.FlitWidthBits < 1 {
+		panic("noc: flit width must be positive")
+	}
+	if cfg.BufferDepth < 2 {
+		panic("noc: buffer depth below 2 cannot sustain wormhole throughput")
+	}
+	if cfg.InjectDepth < 1 || cfg.EjectDepth < 1 {
+		panic("noc: local queue depths must be positive")
+	}
+	if cfg.VirtualChannels < 0 {
+		panic("noc: negative virtual channel count")
+	}
+	vcs := cfg.VirtualChannels
+	if vcs == 0 {
+		vcs = 1
+	}
+	m := &flitMesh{cfg: cfg, vcs: vcs}
+	n := cfg.Width * cfg.Height
+	m.routers = make([]*flitRouter, n)
+	for id := range m.routers {
+		r := &flitRouter{m: m, id: NodeID(id), x: id % cfg.Width, y: id / cfg.Width}
+		for p := portNorth; p < numPorts; p++ {
+			r.in[p] = make([]*sim.FIFO[Flit], vcs)
+			for v := 0; v < vcs; v++ {
+				r.in[p][v] = sim.NewFIFO[Flit](cfg.BufferDepth)
+			}
+		}
+		r.inj.lanes = make([]flitInjLane, vcs)
+		for v := range r.inj.lanes {
+			r.inj.lanes[v].q = sim.NewFIFO[flitInjEntry](cfg.InjectDepth)
+		}
+		r.ejectQ = sim.NewFIFO[*packet.Message](cfg.EjectDepth)
+		r.assembly = make([]struct {
+			msg    *packet.Message
+			enqued uint64
+		}, vcs)
+		for p := range r.holder {
+			r.holder[p] = make([]int, vcs)
+			for v := range r.holder[p] {
+				r.holder[p][v] = -1
+			}
+		}
+		for p := range r.heads {
+			r.heads[p] = make([]flitHeadState, vcs)
+		}
+		m.routers[id] = r
+	}
+	for _, r := range m.routers {
+		r.nextPort = make([]uint8, n)
+		for dst := range r.nextPort {
+			r.nextPort[dst] = uint8(r.route(NodeID(dst)))
+		}
+	}
+	for _, r := range m.routers {
+		if r.y > 0 {
+			r.neighbor[portNorth] = m.routers[int(r.id)-cfg.Width]
+		}
+		if r.y < cfg.Height-1 {
+			r.neighbor[portSouth] = m.routers[int(r.id)+cfg.Width]
+		}
+		if r.x > 0 {
+			r.neighbor[portWest] = m.routers[int(r.id)-1]
+		}
+		if r.x < cfg.Width-1 {
+			r.neighbor[portEast] = m.routers[int(r.id)+1]
+		}
+	}
+	return m
+}
+
+// RegisterWith attaches the mesh and its staged state to a kernel. The mesh
+// keeps the kernel handle so each cycle's Begin can mirror the kernel's
+// event mode, and wires its own kernel-level poker for wakes originating
+// outside mesh ticks (Inject, TryEject, SetLinkFault).
+func (m *flitMesh) RegisterWith(k *sim.Kernel) {
+	k.Register(m)
+	m.k = k
+	m.selfPoke = k.PokerFor(m)
+	for _, r := range m.routers {
+		for p := portNorth; p < numPorts; p++ {
+			for _, f := range r.in[p] {
+				k.Register(f)
+			}
+		}
+		for v := range r.inj.lanes {
+			k.Register(r.inj.lanes[v].q)
+		}
+		k.Register(r.ejectQ)
+	}
+}
+
+// SetNodeWaker wires the poker that wakes the tile attached at node when
+// the mesh ejects a message to it or returns an injection credit. Unwired
+// nodes keep the zero no-op Poker, which is only safe for tiles that never
+// sleep; the builder wires every placed tile.
+func (m *flitMesh) SetNodeWaker(node NodeID, p sim.Poker) {
+	if m.tileWake == nil {
+		m.tileWake = make([]sim.Poker, len(m.routers))
+	}
+	m.tileWake[node] = p
+}
+
+// wakeTile pokes the tile attached at the given node, if wired.
+func (m *flitMesh) wakeTile(node NodeID) {
+	if m.tileWake != nil {
+		m.tileWake[node].Poke()
+	}
+}
+
+// AttachTracer gives every flitRouter its own trace buffer. Buffers are
+// created in flitRouter-ID order, which fixes their drain order at commit: a
+// cycle's hop and transit spans reach the stream in topology order, not in
+// the order routers, tiles and control plane happened to emit them.
+func (m *flitMesh) AttachTracer(tr *trace.Tracer) {
+	if tr == nil {
+		return
+	}
+	for _, r := range m.routers {
+		name := "flitRouter" + m.CoordOf(r.id).String()
+		tr.NameLoc(trace.LocNode, uint32(r.id), name)
+		r.tb = tr.Buffer(name)
+	}
+}
+
+// Config returns the mesh configuration.
+func (m *flitMesh) Config() MeshConfig { return m.cfg }
+
+// Nodes implements Fabric.
+func (m *flitMesh) Nodes() int { return len(m.routers) }
+
+// NodeAt returns the node at mesh coordinate (x, y).
+func (m *flitMesh) NodeAt(x, y int) NodeID {
+	if x < 0 || x >= m.cfg.Width || y < 0 || y >= m.cfg.Height {
+		panic(fmt.Sprintf("noc: NodeAt(%d,%d) outside %dx%d mesh", x, y, m.cfg.Width, m.cfg.Height))
+	}
+	return NodeID(y*m.cfg.Width + x)
+}
+
+// CoordOf returns the mesh coordinate of a node.
+func (m *flitMesh) CoordOf(id NodeID) Coord {
+	return Coord{X: int(id) % m.cfg.Width, Y: int(id) / m.cfg.Width}
+}
+
+// FlitsFor implements Fabric.
+func (m *flitMesh) FlitsFor(msg *packet.Message) int {
+	return flitsFor(msg.WireLen(), m.cfg.FlitWidthBits)
+}
+
+// CanInject implements Fabric.
+func (m *flitMesh) CanInject(src, dst NodeID) bool {
+	inj := &m.routers[src].inj
+	return inj.lanes[inj.vcFor(dst)].q.CanPush()
+}
+
+// Inject implements Fabric.
+func (m *flitMesh) Inject(src, dst NodeID, msg *packet.Message) {
+	if int(dst) < 0 || int(dst) >= len(m.routers) {
+		panic(fmt.Sprintf("noc: Inject to invalid node %d", dst))
+	}
+	r := m.routers[src]
+	r.inj.lanes[r.inj.vcFor(dst)].q.Push(flitInjEntry{msg: msg, dst: dst, flits: m.FlitsFor(msg), enqued: m.now})
+	r.stats.injected++
+	r.stats.occIn++
+	// The staged entry commits at end of cycle; the flitRouter must look then.
+	r.poke()
+	m.selfPoke.Poke()
+}
+
+// TryEject implements Fabric.
+func (m *flitMesh) TryEject(node NodeID) (*packet.Message, bool) {
+	r := m.routers[node]
+	if !r.ejectQ.CanPop() {
+		return nil, false
+	}
+	r.stats.occOut++
+	// The freed eject slot may unblock a head flit the flitRouter reserved
+	// against; the credit lands at commit, so the flitRouter looks next cycle.
+	r.poke()
+	m.selfPoke.Poke()
+	return r.ejectQ.Pop(), true
+}
+
+// HasEjectable implements Fabric.
+func (m *flitMesh) HasEjectable(node NodeID) bool {
+	return m.routers[node].ejectQ.CanPop()
+}
+
+// portToward returns the output port on from's flitRouter facing the adjacent
+// node to; it panics when the nodes are not mesh neighbors (link faults
+// are per physical link, not per path).
+func (m *flitMesh) portToward(from, to NodeID) int {
+	r := m.routers[from]
+	for p := portNorth; p < numPorts; p++ {
+		if nb := r.neighbor[p]; nb != nil && nb.id == to {
+			return p
+		}
+	}
+	panic(fmt.Sprintf("noc: nodes %v and %v are not adjacent", m.CoordOf(from), m.CoordOf(to)))
+}
+
+// SetLinkFault installs (or, with the zero LinkFault, lifts) a fault on
+// the directional link from -> to. The nodes must be adjacent.
+func (m *flitMesh) SetLinkFault(from, to NodeID, f LinkFault) {
+	m.routers[from].linkFault[m.portToward(from, to)] = f
+	// Lifting a fault can unblock a sleeping flitRouter's waiting candidate.
+	m.routers[from].poke()
+	m.selfPoke.Poke()
+}
+
+// LinkFaultBetween returns the installed fault on the directional link
+// from -> to.
+func (m *flitMesh) LinkFaultBetween(from, to NodeID) LinkFault {
+	return m.routers[from].linkFault[m.portToward(from, to)]
+}
+
+// Stats returns the accumulated statistics, summed over routers.
+func (m *flitMesh) Stats() Stats {
+	var s Stats
+	for _, r := range m.routers {
+		s.Injected += r.stats.injected
+		s.Delivered += r.stats.delivered
+		s.FlitHops += r.stats.flitHops
+		s.TotalLatency += r.stats.totalLatency
+	}
+	return s
+}
+
+// ResetStats zeroes the accumulated statistics (for measuring steady state
+// after warmup). The occupancy counters behind fast-forward are preserved.
+func (m *flitMesh) ResetStats() {
+	m.statsReset = true
+	for _, r := range m.routers {
+		r.stats = flitRouterStats{occIn: r.stats.occIn, occOut: r.stats.occOut}
+	}
+}
+
+// Begin implements sim.Preparer: the cycle number is published before Eval
+// so routers and injecting tiles read a stable value whether or not the
+// mesh has ticked yet this cycle. Under an event-driven kernel Begin also
+// fixes each flitRouter's liveness for the cycle — pokes are consumed here,
+// before Eval, so the set of routers that tick can never depend on whether
+// a poking tile ticked before or after the mesh. A poke landing later in
+// this cycle keeps the mesh awake (EndCycle sees the flag) and is consumed
+// by the next Begin.
+func (m *flitMesh) Begin(cycle uint64) {
+	m.now = cycle
+	m.eventOn = m.k != nil && m.k.EventDriven()
+	if !m.eventOn {
+		return
+	}
+	tickAll := m.tickAll
+	m.tickAll = false
+	for _, r := range m.routers {
+		live := tickAll || r.active || (r.faultWake != 0 && cycle >= r.faultWake)
+		if r.poked {
+			r.poked = false
+			live = true
+		}
+		r.live = live
+	}
+}
+
+// WakeAll implements sim.BulkWaker: the next Begin marks every flitRouter live.
+func (m *flitMesh) WakeAll() { m.tickAll = true }
+
+// Tick implements sim.Ticker: one cycle of every flitRouter.
+func (m *flitMesh) Tick(cycle uint64) {
+	m.now = cycle
+	if m.eventOn {
+		for _, r := range m.routers {
+			if r.live {
+				r.tick()
+			}
+		}
+		return
+	}
+	for _, r := range m.routers {
+		r.tick()
+	}
+}
+
+// EndCycle implements sim.EventAware. The mesh must tick next cycle while
+// any flitRouter is active or has a pending poke; otherwise the earliest
+// fault-window opening (if any) bounds the sleep, and with none the mesh
+// sleeps until poked. Nothing is deferred while asleep — an inactive,
+// unpoked flitRouter's tick would change no state — so SyncTo is a no-op.
+func (m *flitMesh) EndCycle(cycle uint64) uint64 {
+	wake := uint64(sim.WakeNever)
+	for _, r := range m.routers {
+		if r.active || r.poked {
+			return cycle + 1
+		}
+		// A parked eject queue keeps the mesh awake even though no flitRouter
+		// moves: the waiting tile cannot see the arrival in its own
+		// NextWork, so the mesh must be the component that pins the cycle
+		// live, exactly as NextWork does for the ticked loop's skip.
+		if r.ejectQ.Len() > 0 {
+			return cycle + 1
+		}
+		if r.faultWake != 0 && r.faultWake < wake {
+			wake = r.faultWake
+		}
+	}
+	return wake
+}
+
+// SyncTo implements sim.EventAware; see EndCycle.
+func (m *flitMesh) SyncTo(cycle uint64) {}
+
+// NextWork implements sim.Quiescer: an empty mesh — every injected message
+// handed to the local tile, nothing buffered anywhere — has no work until
+// someone injects, and an injecting tile is never itself idle. While any
+// message is in flight (including one parked in an eject queue awaiting a
+// tile) the mesh vetoes the skip, covering tiles' blindness to pending
+// arrivals.
+func (m *flitMesh) NextWork(now uint64) (uint64, bool) {
+	var in, out uint64
+	for _, r := range m.routers {
+		in += r.stats.occIn
+		out += r.stats.occOut
+	}
+	if in != out {
+		return now, false
+	}
+	return 0, true
+}
+
+// peekIn returns the head flit at (input port, vc).
+func (r *flitRouter) peekIn(p, vc int) (Flit, bool) {
+	if p == portLocal {
+		return r.inj.peek(vc)
+	}
+	return r.in[p][vc].Peek()
+}
+
+func (r *flitRouter) popIn(p, vc int) {
+	if p == portLocal {
+		if !r.inj.lanes[vc].valid {
+			// This pop drains the lane's message queue, returning an
+			// injection credit to the local tile at commit.
+			r.m.wakeTile(r.id)
+		}
+		r.inj.pop(vc)
+		return
+	}
+	r.in[p][vc].Pop()
+	// The freed buffer slot is an upstream credit at commit: the neighbor
+	// feeding this port may have a flit waiting on it.
+	if nb := r.neighbor[p]; nb != nil {
+		nb.poke()
+	}
+}
+
+// route returns the output port for a flit under XY dimension-order
+// routing.
+func (r *flitRouter) route(dst NodeID) int {
+	dx := int(dst)%r.m.cfg.Width - r.x
+	dy := int(dst)/r.m.cfg.Width - r.y
+	switch {
+	case dx > 0:
+		return portEast
+	case dx < 0:
+		return portWest
+	case dy > 0:
+		return portSouth
+	case dy < 0:
+		return portNorth
+	default:
+		return portLocal
+	}
+}
+
+// canAccept reports whether output port o can take one more flit on the
+// flit's VC.
+func (r *flitRouter) canAccept(o int, f Flit) bool {
+	if o == portLocal {
+		if f.Head {
+			// Reserve an eject slot: other VCs mid-assembly also hold
+			// reservations. Occupancy is the conservative Pending count —
+			// committed entries plus same-cycle pushes, blind to the local
+			// tile's same-cycle pops — so the decision is identical whether
+			// the tile has ticked yet or not (the order-independence
+			// contract; same-cycle eject credits return next cycle).
+			free := r.ejectQ.Cap() - r.ejectQ.Pending()
+			reserved := 0
+			for v := range r.assembly {
+				if v != f.VC && r.assembly[v].msg != nil {
+					reserved++
+				}
+			}
+			return free > reserved
+		}
+		return true
+	}
+	nb := r.neighbor[o]
+	if nb == nil {
+		panic(fmt.Sprintf("noc: route to missing neighbor %d from %v", o, r.m.CoordOf(r.id)))
+	}
+	return nb.in[oppositePort[o]][f.VC].CanPush()
+}
+
+// deliver moves a flit out through output port o.
+func (r *flitRouter) deliver(o int, f Flit) {
+	if o == portLocal {
+		a := &r.assembly[f.VC]
+		if f.Head {
+			a.msg, a.enqued = f.Msg, f.Enq
+		}
+		if f.Tail {
+			msg := a.msg
+			a.msg = nil
+			r.ejectQ.Push(msg)
+			r.m.wakeTile(r.id) // arrival visible to the tile at commit
+			r.stats.delivered++
+			r.stats.totalLatency += r.m.now - a.enqued
+			if r.tb.Want(msg.TraceID) {
+				// One mesh-transit span per message, from injection-queue
+				// entry to tail-flit ejection at the destination flitRouter.
+				r.tb.Emit(trace.Span{
+					Msg: msg.TraceID, Kind: trace.KindEject,
+					LocKind: trace.LocNode, Loc: uint32(r.id),
+					Start: a.enqued, End: r.m.now,
+					Tenant: msg.Tenant,
+				})
+			}
+		}
+		return
+	}
+	if f.Head && f.Msg != nil && r.tb.Want(f.Msg.TraceID) {
+		r.tb.Emit(trace.Span{
+			Msg: f.Msg.TraceID, Kind: trace.KindHop,
+			LocKind: trace.LocNode, Loc: uint32(r.id),
+			Start: r.m.now, End: r.m.now,
+			A: uint64(o), B: uint64(f.Dst),
+			Tenant: f.Msg.Tenant,
+		})
+	}
+	r.neighbor[o].in[oppositePort[o]][f.VC].Push(f)
+	r.neighbor[o].poke() // the flit is the neighbor's input next cycle
+	r.stats.flitHops++
+}
+
+// laneReady reports whether input lane (p, vc) holds a committed flit (for
+// the flitInjector: a mid-serialization message or a queued one).
+func (r *flitRouter) laneReady(p, vc int) bool {
+	if p == portLocal {
+		l := &r.inj.lanes[vc]
+		return l.valid || l.q.CanPop()
+	}
+	return r.in[p][vc].CanPop()
+}
+
+// holderOf returns the output port whose VC-v wormhole is owned by input
+// port p, or -1. A body flit is only ever forwarded by its holder, so this
+// is the fast-path route lookup.
+func (r *flitRouter) holderOf(p, v int) int {
+	for o := 0; o < numPorts; o++ {
+		if r.holder[o][v] == p {
+			return o
+		}
+	}
+	return -1
+}
+
+// streamOne forwards the cached head flit of input lane (p, v) through
+// output o, exactly as the general arbitration below would when that lane
+// is the only live input competing for o: the wormhole already owns the
+// output, so the only questions left are the link fault gate and
+// downstream acceptance. It reports whether the flit moved.
+func (r *flitRouter) streamOne(o, p, v int) bool {
+	if o != portLocal && r.linkFault[o].blocks(r.m.now) {
+		if n := uint64(r.linkFault[o].PassEveryN); n >= 2 {
+			next := r.m.now + n - r.m.now%n
+			if r.faultWake == 0 || next < r.faultWake {
+				r.faultWake = next
+			}
+		}
+		return false
+	}
+	f := r.heads[p][v].f
+	if !r.canAccept(o, f) {
+		return false
+	}
+	r.popIn(p, v)
+	r.deliver(o, f)
+	if f.Tail {
+		r.holder[o][v] = -1
+	}
+	r.rrVC[o] = (v + 1) % r.m.vcs
+	return true
+}
+
+func (r *flitRouter) tick() {
+	r.faultWake = 0
+	vcs := r.m.vcs
+	// Cache every input lane's head flit once: output arbitration below
+	// would otherwise re-peek each input once per output port. consumed[p]
+	// guards the cache after a pop (one pop per input port per cycle).
+	// The same pass counts live lanes, so an idle flitRouter is proven idle
+	// (and a lone mid-wormhole lane spotted) without a separate scan.
+	inputs := 0
+	headSeen := false
+	var livePort [numPorts]int8
+	for p := 0; p < numPorts; p++ {
+		for v := 0; v < vcs; v++ {
+			h := &r.heads[p][v]
+			// Test emptiness before peeking: most lanes are empty in any
+			// given cycle, and the occupancy test is two integer loads
+			// where a peek copies out a whole flit.
+			if !r.laneReady(p, v) {
+				h.ok = false
+				continue
+			}
+			h.f, h.ok = r.peekIn(p, v)
+			headSeen = headSeen || h.f.Head
+			if inputs < numPorts {
+				livePort[inputs] = int8(p)
+			}
+			inputs++
+		}
+	}
+	if inputs == 0 {
+		r.active = false
+		return
+	}
+	// Streaming fast path: every live lane is mid-wormhole (no head flit
+	// needs allocating), and each wormhole owns a distinct output — then
+	// arbitration degenerates to "move each flit if its output accepts it",
+	// with no cross-lane interaction to order. Under saturation nearly
+	// every hop qualifies (a 256-byte frame is 32 flits, 31 of them body).
+	// Restricted to single-VC meshes so a lane is identified by its port.
+	if !headSeen && vcs == 1 && inputs <= numPorts {
+		var outOf [numPorts]int8
+		var used [numPorts]bool
+		ok := true
+		for i := 0; i < inputs; i++ {
+			o := r.holderOf(int(livePort[i]), 0)
+			if o < 0 || used[o] {
+				ok = false
+				break
+			}
+			used[o] = true
+			outOf[i] = int8(o)
+		}
+		if ok {
+			moved := false
+			for i := 0; i < inputs; i++ {
+				if r.streamOne(int(outOf[i]), int(livePort[i]), 0) {
+					moved = true
+				}
+			}
+			r.active = moved
+			return
+		}
+	}
+	for p := range r.consumed {
+		r.consumed[p] = false
+	}
+	// Build a conservative per-output candidate mask (a head flit routed
+	// to o, or an active wormhole with flits waiting) so arbitration skips
+	// outputs nothing can use this cycle.
+	var cand [numPorts]bool
+	for p := 0; p < numPorts; p++ {
+		for v := 0; v < vcs; v++ {
+			if h := &r.heads[p][v]; h.ok && h.f.Head {
+				cand[r.nextPort[h.f.Dst]] = true
+			}
+		}
+	}
+	for o := 0; o < numPorts; o++ {
+		if cand[o] {
+			continue
+		}
+		for v := 0; v < vcs; v++ {
+			if h := r.holder[o][v]; h >= 0 && r.heads[h][v].ok {
+				cand[o] = true
+				break
+			}
+		}
+	}
+	moved := false
+	for o := 0; o < numPorts; o++ {
+		if !cand[o] {
+			continue
+		}
+		if o != portLocal && r.linkFault[o].blocks(r.m.now) {
+			// A candidate is waiting on a fault-gated output. PassEveryN
+			// windows open by the clock, with no poke to ride, so record
+			// the next opening as a timed wake; a severed link only
+			// reopens via SetLinkFault, which pokes.
+			if n := uint64(r.linkFault[o].PassEveryN); n >= 2 {
+				next := r.m.now + n - r.m.now%n
+				if r.faultWake == 0 || next < r.faultWake {
+					r.faultWake = next
+				}
+			}
+			continue
+		}
+		// One flit per output per cycle; VCs take turns (round-robin),
+		// letting packets interleave on the physical link.
+		sent := false
+		for vi := 0; vi < vcs && !sent; vi++ {
+			v := (r.rrVC[o] + vi) % vcs
+			if h := r.holder[o][v]; h >= 0 {
+				hs := &r.heads[h][v]
+				if !hs.ok || r.consumed[h] || !r.canAccept(o, hs.f) {
+					continue
+				}
+				f := hs.f
+				r.popIn(h, v)
+				r.consumed[h] = true
+				r.deliver(o, f)
+				if f.Tail {
+					r.holder[o][v] = -1
+				}
+				r.rrVC[o] = (v + 1) % vcs
+				sent = true
+				continue
+			}
+			// Allocate this VC lane to a waiting head flit.
+			for ii := 0; ii < numPorts; ii++ {
+				in := (r.rrIn[o] + ii) % numPorts
+				if r.consumed[in] {
+					continue
+				}
+				hs := &r.heads[in][v]
+				if !hs.ok || !hs.f.Head || int(r.nextPort[hs.f.Dst]) != o || !r.canAccept(o, hs.f) {
+					continue
+				}
+				f := hs.f
+				r.popIn(in, v)
+				r.consumed[in] = true
+				r.deliver(o, f)
+				if !f.Tail {
+					r.holder[o][v] = in
+				}
+				r.rrIn[o] = (in + 1) % numPorts
+				r.rrVC[o] = (v + 1) % vcs
+				sent = true
+				break
+			}
+		}
+		if sent {
+			moved = true
+		}
+	}
+	// A tick that moved nothing changed nothing (the no-op proof behind
+	// the idle early-return applies to a fully blocked flitRouter too:
+	// round-robin state, holders, assembly, and stats only mutate on a
+	// send), so the flitRouter sleeps until an input, credit, or fault edge
+	// pokes it.
+	r.active = moved
+}

@@ -19,7 +19,8 @@ type LoadPoint struct {
 
 // uniformDriver injects fixed-size messages at every node with probability
 // load per node per cycle, destination uniform over other nodes, and drains
-// every eject queue. It implements sim.Ticker.
+// every eject queue. A single-node fabric has no other node to send to, so
+// it injects nothing. It implements sim.Ticker.
 type uniformDriver struct {
 	fab  Fabric
 	rng  *sim.RNG
@@ -45,7 +46,7 @@ func (d *uniformDriver) Tick(uint64) {
 				break
 			}
 		}
-		if d.rng.Float64() < d.load {
+		if d.rng.Float64() < d.load && n > 1 {
 			dst := d.rng.Intn(n - 1)
 			if dst >= node {
 				dst++

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/panic-nic/panic/internal/packet"
@@ -252,11 +253,91 @@ func TestMeshConfigValidation(t *testing.T) {
 }
 
 func TestMeshInjectInvalidDstPanics(t *testing.T) {
+	// Every node-taking entry point rejects a node outside the mesh with a
+	// noc: panic that names the node, instead of an index-out-of-range.
 	m, _ := newTestMesh(2, 2)
-	defer func() {
-		if recover() == nil {
-			t.Error("Inject to invalid node did not panic")
+	xb := NewCrossbar(CrossbarConfig{Nodes: 4, FlitWidthBits: 64, TraversalLatency: 1, InjectDepth: 2, EjectDepth: 2})
+	calls := map[string]func(){
+		"Inject dst":        func() { m.Inject(0, 99, testMsg(8)) },
+		"Inject src":        func() { m.Inject(99, 0, testMsg(8)) },
+		"Inject negative":   func() { m.Inject(-1, 0, testMsg(8)) },
+		"CanInject src":     func() { m.CanInject(99, 0) },
+		"CanInject dst":     func() { m.CanInject(0, 99) },
+		"TryEject":          func() { m.TryEject(99) },
+		"HasEjectable":      func() { m.HasEjectable(99) },
+		"SetNodeWaker":      func() { m.SetNodeWaker(99, sim.Poker{}) },
+		"SetLinkFault":      func() { m.SetLinkFault(99, 0, LinkFault{Severed: true}) },
+		"LinkFaultBetween":  func() { m.LinkFaultBetween(0, 99) },
+		"NodeLinkFaulted":   func() { m.NodeLinkFaulted(99) },
+		"CoordOf":           func() { m.CoordOf(99) },
+		"crossbar Inject":   func() { xb.Inject(99, 0, testMsg(8)) },
+		"crossbar TryEject": func() { xb.TryEject(99) },
+	}
+	for name, call := range calls {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "noc: ") || !(strings.Contains(msg, "99") || strings.Contains(msg, "-1")) {
+					t.Errorf("%s: panic %q, want a noc: panic naming the node", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
+}
+
+func TestSingleNodeFabricMeasuresZero(t *testing.T) {
+	// One node has no other node to send to: uniform traffic must measure
+	// zero deliveries, not panic drawing a destination.
+	cfg := DefaultMeshConfig()
+	cfg.Width, cfg.Height = 1, 1
+	if p := MeasureLoad(NewMesh(cfg), 1e9, 64, 1.0, 100, 1000, 1); p.Delivered != 0 {
+		t.Errorf("MeasureLoad on 1x1 delivered %d", p.Delivered)
+	}
+	if p := MeasurePattern(NewMesh(cfg), PatternUniform, 1e9, 64, 1.0, 100, 1000, 1); p.Delivered != 0 {
+		t.Errorf("MeasurePattern(uniform) on 1x1 delivered %d", p.Delivered)
+	}
+	if got := PatternUniform(sim.NewRNG(1), 0, 1, 1, 1); got != 0 {
+		t.Errorf("PatternUniform on one node = %d, want the source (sit out)", got)
+	}
+}
+
+func TestAuditCatchesCorruptLane(t *testing.T) {
+	// Fill some lanes, confirm the audit is clean, then corrupt one lane's
+	// books at a time: each must be reported.
+	m, k := newTestMesh(3, 3)
+	for i := 0; i < 4; i++ {
+		m.Inject(0, 8, testMsg(200))
+	}
+	k.Run(6)
+	if err := m.AuditConservation(); err != nil {
+		t.Fatalf("clean mesh fails the audit: %v", err)
+	}
+	var l *lane
+	for _, r := range m.routers {
+		for i := range r.in {
+			if r.in[i].nseg > 0 {
+				l = &r.in[i]
+			}
 		}
-	}()
-	m.Inject(0, 99, testMsg(8))
+	}
+	if l == nil {
+		t.Fatal("no occupied lane to corrupt")
+	}
+	corruptions := map[string]func(){
+		"count off by one":    func() { l.n++ },
+		"segment lost a flit": func() { l.front().flits-- },
+		"over buffer depth":   func() { l.n += int32(m.cfg.BufferDepth); l.front().flits += int32(m.cfg.BufferDepth) },
+	}
+	for name, corrupt := range corruptions {
+		saved, seg := l.credits, *l.front()
+		corrupt()
+		if err := m.AuditConservation(); err == nil || !strings.Contains(err.Error(), "lane") {
+			t.Errorf("%s: audit returned %v, want a lane violation", name, err)
+		}
+		l.credits, *l.front() = saved, seg
+	}
+	if err := m.AuditConservation(); err != nil {
+		t.Fatalf("restored mesh fails the audit: %v", err)
+	}
 }

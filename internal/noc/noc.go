@@ -1,8 +1,8 @@
-// Package noc models PANIC's on-chip interconnect at flit granularity: a
-// lossless 2D-mesh network of wormhole routers with credit-based flow
-// control and XY dimension-order routing (§3.1.2 of the paper), plus a
-// single central crossbar used as an ablation baseline for the paper's
-// wire-length argument against large crossbars.
+// Package noc models PANIC's on-chip interconnect: a lossless 2D-mesh
+// network of wormhole routers with credit-based flow control and XY
+// dimension-order routing (§3.1.2 of the paper), plus a single central
+// crossbar used as an ablation baseline for the paper's wire-length
+// argument against large crossbars.
 //
 // Timing model, following the paper: "The routers add one cycle of latency
 // at each hop." A flit moves from one router's input buffer to the next
@@ -11,6 +11,19 @@
 // width-bit flits; a message of b bits occupies ceil(b/width) consecutive
 // flits that travel as a wormhole: the head flit reserves each output port
 // and the tail flit releases it.
+//
+// The mesh moves worms, not flit records. Each router input lane is a
+// ring of worm segments — runs of consecutive flits of one message — with
+// per-flit credit counts that keep the conservative rule of a staged
+// hardware FIFO: a flit popped in one cycle frees its slot for the
+// upstream router in the next. Timing is exact at flit granularity: one
+// pop per input port and one flit per output port per cycle, round-robin
+// arbitration, and eject-slot reservation are unchanged from a router
+// that moves every flit individually, which the package's differential
+// tests keep as their oracle. Once a worm's head has ejected, the routers
+// still carrying it stream the rest in closed form: under the
+// event-driven kernel they sleep until the cycle its tail crosses them,
+// computed from the lane counts (stream.go).
 //
 // The network is lossless: routers never drop flits, and backpressure is
 // credit-based — an upstream router forwards a flit only when the
@@ -38,25 +51,6 @@ type Coord struct{ X, Y int }
 // String formats the coordinate.
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
 
-// Flit is the unit of flow control. Only the head flit carries the message
-// pointer; body flits model wire occupancy.
-type Flit struct {
-	// Msg is non-nil on the head flit only.
-	Msg *packet.Message
-	// Dst is the destination node, present on every flit of the packet so
-	// body flits can follow the wormhole.
-	Dst NodeID
-	// Head and Tail mark the first and last flit (both set for a
-	// single-flit message).
-	Head, Tail bool
-	// Enq is the cycle the message was injected (head flit only), for
-	// latency accounting.
-	Enq uint64
-	// VC is the virtual channel the packet was assigned at injection; it
-	// selects the buffer lane at every hop.
-	VC int
-}
-
 // Fabric is an interconnect that moves messages between tiles. Both the 2D
 // mesh and the crossbar baseline implement it, so higher layers are
 // topology-agnostic.
@@ -79,6 +73,15 @@ type Fabric interface {
 	HasEjectable(node NodeID) bool
 	// FlitsFor returns the number of flits a message occupies.
 	FlitsFor(msg *packet.Message) int
+}
+
+// checkNode returns n as an index when it names one of a fabric's nodes and
+// otherwise panics with the entry point's name and the bad node.
+func checkNode(op string, n NodeID, nodes int) int {
+	if uint(n) >= uint(nodes) {
+		panic(fmt.Sprintf("noc: %s: invalid node %d (fabric has %d nodes)", op, n, nodes))
+	}
+	return int(n)
 }
 
 // flitsFor segments a message of the given wire length into width-bit flits.

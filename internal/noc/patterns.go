@@ -11,8 +11,12 @@ import (
 type Pattern func(rng *sim.RNG, src, nodes, width, height int) int
 
 // PatternUniform sends to a uniformly random other node — the assumption
-// behind the paper's Table 3 analysis.
+// behind the paper's Table 3 analysis. A single-node fabric has no other
+// node, so its only node sits out.
 func PatternUniform(rng *sim.RNG, src, nodes, _, _ int) int {
+	if nodes < 2 {
+		return src
+	}
 	dst := rng.Intn(nodes - 1)
 	if dst >= src {
 		dst++

@@ -169,6 +169,10 @@ func (k *Kernel) SetFastForward(on bool) { k.fastForward = on }
 // FastForwardEnabled reports whether fast-forward is configured on.
 func (k *Kernel) FastForwardEnabled() bool { return k.fastForward }
 
+// Committers returns the number of registered Committers: the components
+// the Commit phase visits (or proves clean) every stepped cycle.
+func (k *Kernel) Committers() int { return len(k.committers) }
+
 // SkippedCycles returns how many cycles fast-forward has jumped over. Every
 // skipped cycle is one the kernel proved no component would act in.
 func (k *Kernel) SkippedCycles() uint64 { return k.skipped }
