@@ -46,7 +46,6 @@ var (
 	tenantsN      *int
 	tenantWeights *string
 	noFlowCache   *bool
-	heapQueue     *bool
 	noEventEngine *bool
 	serveMode     *bool
 	listenAddr    *string
@@ -81,7 +80,6 @@ func main() {
 	tenantsN = flag.Int("tenants", 1, "number of tenants in the generated mix; -rate is split evenly across them")
 	tenantWeights = flag.String("tenant-weights", "", "comma-separated scheduler weights for tenants 1..N, e.g. 4,1 (enables weighted-LSTF; panic only)")
 	noFlowCache = flag.Bool("no-flowcache", false, "disable the RMT flow cache (bit-identical ablation; panic only)")
-	heapQueue = flag.Bool("heap-queue", false, "use the heap scheduling queue instead of the calendar queue (bit-identical ablation; panic only)")
 	noEventEngine = flag.Bool("no-event-engine", false, "run the ticked oracle kernel loop instead of the event-driven one (bit-identical ablation; panic only)")
 	serveMode = flag.Bool("serve", false, "run as a long-lived HTTP control/ingest service instead of a batch run (panic only)")
 	listenAddr = flag.String("listen", "127.0.0.1:8070", "serve mode listen address")
@@ -136,9 +134,22 @@ func main() {
 		f.Close()
 	}()
 
-	if *tenantsN < 1 {
-		fmt.Fprintf(os.Stderr, "-tenants must be >= 1 (got %d)\n", *tenantsN)
-		os.Exit(2)
+	// Sizes no simulator can build are usage errors, not panics. A PANIC
+	// mesh needs at least 4 columns and 3 rows (core.NewNIC).
+	for _, f := range []struct {
+		name   string
+		v, min int
+	}{
+		{"tenants", *tenantsN, 1},
+		{"mesh", *meshK, 4},
+		{"width", *width, 1},
+		{"pipelines", *pipelines, 1},
+		{"cores", *cores, 1},
+	} {
+		if f.v < f.min {
+			fmt.Fprintf(os.Stderr, "-%s must be >= %d (got %d)\n", f.name, f.min, f.v)
+			os.Exit(2)
+		}
 	}
 	if *serveMode {
 		if *arch != "panic" {
@@ -223,7 +234,6 @@ func buildPanicConfig(freq, line float64, meshK, width, pipelines int, seed uint
 	cfg.DMAReplicas = *dmaReplicas
 	cfg.FastForward = *fastForward
 	cfg.NoFlowCache = *noFlowCache
-	cfg.HeapSchedQueue = *heapQueue
 	cfg.NoEventEngine = *noEventEngine
 	if *tenantsN > 1 {
 		for i := 0; i < *tenantsN; i++ {

@@ -114,9 +114,9 @@ type Config struct {
 	// FleetCycles is the horizon of each rack-scale fleet run (0 skips the
 	// fleet stage).
 	FleetCycles uint64
-	// Ablation additionally measures the saturating run with each loaded
-	// hot-path optimization (RMT flow cache, bucketed scheduler queue)
-	// individually disabled, quantifying each one's contribution.
+	// Ablation additionally measures the saturating run with the RMT flow
+	// cache disabled and with the ticked kernel loop, quantifying each
+	// one's contribution.
 	Ablation bool
 	// Log receives progress lines (nil = silent).
 	Log io.Writer
@@ -129,14 +129,13 @@ func (c Config) logf(format string, args ...any) {
 }
 
 // buildNIC assembles the canonical two-tenant benchmark NIC at the given
-// fraction of line rate per source. noCache, heapQueue, and ticked are the
-// hot-path ablation knobs (all false = the default fast configuration:
-// flow cache on, calendar queue, event-driven kernel loop).
-func buildNIC(fastForward bool, load float64, noCache, heapQueue, ticked bool) *core.NIC {
+// fraction of line rate per source. noCache and ticked are the hot-path
+// ablation knobs (both false = the default fast configuration: flow cache
+// on, event-driven kernel loop).
+func buildNIC(fastForward bool, load float64, noCache, ticked bool) *core.NIC {
 	cfg := core.DefaultConfig()
 	cfg.FastForward = fastForward
 	cfg.NoFlowCache = noCache
-	cfg.HeapSchedQueue = heapQueue
 	cfg.NoEventEngine = ticked
 	srcs := []engine.Source{
 		workload.NewKVSStream(workload.KVSTenantConfig{
@@ -164,8 +163,8 @@ func Measure(cfg Config) Report {
 	}
 
 	// satRun is one timed saturating run.
-	satRun := func(noCache, heapQueue, ticked bool) SatResult {
-		nic := buildNIC(false, 0.9, noCache, heapQueue, ticked)
+	satRun := func(noCache, ticked bool) SatResult {
+		nic := buildNIC(false, 0.9, noCache, ticked)
 		nic.Run(2_000) // warm-up: fill the pipeline
 		before := nic.WireLat.Count + nic.HostLat.Count
 		start := time.Now()
@@ -182,7 +181,7 @@ func Measure(cfg Config) Report {
 		}
 	}
 
-	rep.Saturating = satRun(false, false, false)
+	rep.Saturating = satRun(false, false)
 	cfg.logf("saturating: %.0f simcycles/s, %.0f msgs/s (cache hit %.1f%%)\n",
 		rep.Saturating.CyclesPerS, rep.Saturating.MsgsPerS, 100*rep.Saturating.CacheHitRate)
 
@@ -194,7 +193,7 @@ func Measure(cfg Config) Report {
 	best := make(map[string]SatResult, 2)
 	for trial := 0; trial < 3; trial++ {
 		for _, mode := range []string{"ticked", "event"} {
-			r := satRun(false, false, mode == "ticked")
+			r := satRun(false, mode == "ticked")
 			if b, ok := best[mode]; !ok || r.MsgsPerS > b.MsgsPerS {
 				best[mode] = r
 			}
@@ -221,18 +220,16 @@ func Measure(cfg Config) Report {
 		// run was the process's first (cold caches, unfaulted pages), and
 		// comparing ablations against it would systematically flatter them.
 		ablations := []struct {
-			name                       string
-			noCache, heapQueue, ticked bool
+			name            string
+			noCache, ticked bool
 		}{
-			{"default", false, false, false},
-			{"no-flow-cache", true, false, false},
-			{"heap-sched-queue", false, true, false},
-			{"ticked-kernel", false, false, true},
-			{"no-flow-cache+heap-sched-queue", true, true, false},
+			{"default", false, false},
+			{"no-flow-cache", true, false},
+			{"ticked-kernel", false, true},
 		}
 		var ref float64
 		for _, a := range ablations {
-			r := satRun(a.noCache, a.heapQueue, a.ticked)
+			r := satRun(a.noCache, a.ticked)
 			if a.name == "default" {
 				ref = r.MsgsPerS
 			}
@@ -250,7 +247,7 @@ func Measure(cfg Config) Report {
 
 	var stepRate float64
 	for _, ff := range []bool{false, true} {
-		nic := buildNIC(ff, 0.001, false, false, false)
+		nic := buildNIC(ff, 0.001, false, false)
 		start := time.Now()
 		nic.Run(cfg.LowLoadCycles)
 		wall := time.Since(start).Seconds()

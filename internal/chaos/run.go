@@ -79,7 +79,6 @@ func buildFleet(s Scenario) *fleet.Fleet {
 	cfg.QueueCap = s.QueueCap
 	cfg.FastForward = s.FastForward
 	cfg.NoFlowCache = s.NoFlowCache
-	cfg.HeapSchedQueue = s.HeapSchedQueue
 	cfg.IPSecReplicas = s.Replicas
 	cfg.Health = core.DefaultHealthConfig()
 	if s.TenantScoped {
@@ -138,7 +137,6 @@ func buildNIC(s Scenario) *core.NIC {
 	cfg.QueueCap = s.QueueCap
 	cfg.FastForward = s.FastForward
 	cfg.NoFlowCache = s.NoFlowCache
-	cfg.HeapSchedQueue = s.HeapSchedQueue
 	cfg.IPSecReplicas = s.Replicas
 	cfg.Health = core.DefaultHealthConfig()
 	if s.TenantScoped {

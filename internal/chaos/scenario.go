@@ -31,11 +31,10 @@ type Scenario struct {
 	QueueCap int
 	// Replicas is the total IPSec instance count (1 = primary only).
 	Replicas int
-	// FastForward, NoFlowCache, and HeapSchedQueue are the ablation knobs;
-	// results must be invariant-clean under any combination.
-	FastForward    bool
-	NoFlowCache    bool
-	HeapSchedQueue bool
+	// FastForward and NoFlowCache are the ablation knobs; results must be
+	// invariant-clean under any combination.
+	FastForward bool
+	NoFlowCache bool
 	// TenantScoped declares a tenant fault domain on the KVS cache engine
 	// (tenant 1 only), so cache faults exercise the tenant-scoped failover
 	// path (RewriteEngineTenant) instead of whole-engine rewrites.
@@ -85,14 +84,14 @@ func Generate(seed, cycles uint64) Scenario {
 		QueueCap: []int{64, 128, 256}[rng.Intn(3)],
 		Replicas: 1 + rng.Intn(2),
 	}
-	// This draw used to pick a kernel worker count, a knob that no longer
-	// exists. It is kept and discarded so every seed still maps to the same
-	// scenario, and committed seeds (the planted-bug self-test's, nightly
-	// reproducers) keep their meaning.
+	// Two draws picked knobs that no longer exist: a kernel worker count
+	// and a scheduling-queue implementation. They are kept and discarded so
+	// every seed still maps to the same scenario, and committed seeds (the
+	// planted-bug self-test's, nightly reproducers) keep their meaning.
 	_ = rng.Intn(3)
 	s.FastForward = rng.Bool(0.3)
 	s.NoFlowCache = rng.Bool(0.2)
-	s.HeapSchedQueue = rng.Bool(0.2)
+	_ = rng.Bool(0.2)
 	s.TenantScoped = rng.Bool(0.5)
 	tenants := make([]uint16, s.Tenants)
 	for i := range tenants {
@@ -125,7 +124,6 @@ func (s Scenario) String() string {
 	fmt.Fprintf(&b, "replicas %d\n", s.Replicas)
 	fmt.Fprintf(&b, "fastforward %v\n", s.FastForward)
 	fmt.Fprintf(&b, "noflowcache %v\n", s.NoFlowCache)
-	fmt.Fprintf(&b, "heapq %v\n", s.HeapSchedQueue)
 	fmt.Fprintf(&b, "tenantscoped %v\n", s.TenantScoped)
 	fmt.Fprintf(&b, "plant %v\n", s.Plant)
 	fmt.Fprintf(&b, "fleet %d\n", s.Fleet)
@@ -231,7 +229,7 @@ func (s *Scenario) setField(key, val string) error {
 	case "noflowcache":
 		err = b(&s.NoFlowCache)
 	case "heapq":
-		err = b(&s.HeapSchedQueue)
+		return fmt.Errorf("heapq: no longer a scenario knob (every scheduling queue is the one (rank, seq) heap)")
 	case "tenantscoped":
 		err = b(&s.TenantScoped)
 	case "plant":

@@ -80,7 +80,6 @@ func Shrink(s Scenario, orig *Failure, budget int) (Scenario, int) {
 	// reproducer is as vanilla as the bug allows.
 	knobs := []func(*Scenario){
 		func(c *Scenario) { c.FastForward = false },
-		func(c *Scenario) { c.HeapSchedQueue = false },
 		func(c *Scenario) { c.Replicas = 1 },
 	}
 	for _, strip := range knobs {

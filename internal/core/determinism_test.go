@@ -14,14 +14,13 @@ import (
 // instead of the event-driven loaded path, and the two must be
 // byte-identical in every combination — a missed wakeup in the event
 // engine shows up here as a fingerprint divergence. Fast-forward is the
-// second axis, and the hot-path ablation knobs (flow cache, calendar
-// queue) ride the third, toggled together: disabling them must not move a
-// single statistic, in any kernel mode.
+// second axis, and the flow-cache ablation knob rides the third:
+// disabling the cache must not move a single statistic, in any kernel
+// mode.
 type detCase struct {
 	name        string
 	fastForward bool
 	noFlowCache bool
-	heapQueue   bool
 	ticked      bool
 }
 
@@ -29,7 +28,6 @@ type detCase struct {
 func (c detCase) apply(cfg *Config) {
 	cfg.FastForward = c.fastForward
 	cfg.NoFlowCache = c.noFlowCache
-	cfg.HeapSchedQueue = c.heapQueue
 	cfg.NoEventEngine = c.ticked
 }
 
@@ -38,13 +36,13 @@ var detCases = []detCase{
 	// its fingerprint byte for byte.
 	{name: "ticked", ticked: true},
 	{name: "ticked+ff", ticked: true, fastForward: true},
-	{name: "ticked+nocache+heapq", ticked: true, noFlowCache: true, heapQueue: true},
-	{name: "ticked+ff+nocache+heapq", ticked: true, fastForward: true, noFlowCache: true, heapQueue: true},
+	{name: "ticked+nocache", ticked: true, noFlowCache: true},
+	{name: "ticked+ff+nocache", ticked: true, fastForward: true, noFlowCache: true},
 	// Event engine (the default) across the same axes.
 	{name: "event"},
 	{name: "event+ff", fastForward: true},
-	{name: "event+nocache+heapq", noFlowCache: true, heapQueue: true},
-	{name: "event+ff+nocache+heapq", fastForward: true, noFlowCache: true, heapQueue: true},
+	{name: "event+nocache", noFlowCache: true},
+	{name: "event+ff+nocache", fastForward: true, noFlowCache: true},
 }
 
 // detRun builds a NIC in the given mode over a seeded two-port traffic mix

@@ -104,10 +104,6 @@ type Config struct {
 	// and table walk). Simulation results are bit-identical either way —
 	// the cache replays verdicts and register side effects exactly.
 	NoFlowCache bool
-	// HeapSchedQueue backs every scheduling queue with the reference
-	// container/heap PIFO instead of the bucketed calendar queue (the
-	// scheduler ablation baseline; decisions are identical).
-	HeapSchedQueue bool
 	// Invariants, when non-nil, arms the runtime invariant monitor: every
 	// sampling interval the kernel's end-of-cycle barrier audits message
 	// conservation (per tile and per tenant), queue and credit bounds,
@@ -275,7 +271,6 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 	common := func(c *engine.TileConfig) {
 		c.QueueCap = cfg.QueueCap
 		c.Policy = cfg.Policy
-		c.HeapSchedQueue = cfg.HeapSchedQueue
 		c.Rank = cfg.Rank
 		if c.Rank == nil && len(cfg.TenantWeights) > 0 {
 			// Each tile gets its own credit state; the instance is retained

@@ -9,10 +9,12 @@
 // scheduling algorithms (the paper cites Universal Packet Scheduling and
 // the PIFO line of work). Rank = arrival + slack implements
 // least-slack-time-first; rank = arrival implements FIFO; rank = class
-// implements strict priority. The queue is backed by a bitmap calendar
-// queue (O(1) push/peek/pop over the live rank window, exact-ordering
-// fallback outside it — see bucketq.go), mirroring how hardware PIFOs
-// achieve constant-time scheduling decisions.
+// implements strict priority. The PIFO is an ordering contract, not a
+// data structure: the queue is a binary min-heap on (rank, seq), O(log n)
+// per push and pop. Hardware PIFOs make that decision in constant time;
+// in the simulator the loaded workloads keep a dozen or so messages per
+// queue, where a heap costs a few comparisons and no per-queue bucket
+// arrays.
 //
 // Admission is a policy decision the paper leaves open (§6): Backpressure
 // never drops (the queue fills and the fabric stalls — lossless), while
@@ -28,7 +30,6 @@
 package sched
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/panic-nic/panic/internal/packet"
@@ -69,14 +70,11 @@ type PushResult struct {
 	Dropped *packet.Message
 }
 
-// Queue is one engine's scheduling queue. The ordering structure behind it
-// is a hierarchical-bitmap calendar queue (see bucketq.go) giving O(1)
-// push/peek/pop for the clustered ranks real rank functions emit, with
-// exact-ordering heaps absorbing outliers; NewHeapQueue builds the same
-// queue over the reference container/heap implementation for ablation
-// runs. Both produce bit-identical scheduling decisions.
+// Queue is one engine's scheduling queue: a binary min-heap of entries
+// ordered by (rank, seq), so lower rank is served first and equal ranks
+// are served in push order.
 type Queue struct {
-	p      pifo
+	h      eheap
 	cap    int
 	policy Policy
 	seq    uint64
@@ -90,43 +88,31 @@ type Queue struct {
 	highWater                      int
 }
 
-// NewQueue builds a queue with the given capacity and overflow policy,
-// backed by the bucketed calendar queue.
+// NewQueue builds a queue with the given capacity and overflow policy.
 func NewQueue(capacity int, policy Policy) *Queue {
 	if capacity < 1 {
 		panic(fmt.Sprintf("sched: queue capacity %d", capacity))
 	}
-	return &Queue{p: &bucketQueue{}, cap: capacity, policy: policy}
-}
-
-// NewHeapQueue builds a queue backed by the reference container/heap
-// implementation — the ablation baseline for the calendar queue, kept so
-// cmd/benchkernel -ablation can quantify the bucketed queue's contribution
-// against scheduling decisions that are identical by construction.
-func NewHeapQueue(capacity int, policy Policy) *Queue {
-	if capacity < 1 {
-		panic(fmt.Sprintf("sched: queue capacity %d", capacity))
-	}
-	return &Queue{p: &heapPifo{}, cap: capacity, policy: policy}
+	return &Queue{cap: capacity, policy: policy}
 }
 
 // Len returns the current occupancy.
-func (q *Queue) Len() int { return q.p.size() }
+func (q *Queue) Len() int { return len(q.h) }
 
 // Cap returns the capacity.
 func (q *Queue) Cap() int { return q.cap }
 
 // Full reports whether the queue is at capacity.
-func (q *Queue) Full() bool { return q.p.size() >= q.cap }
+func (q *Queue) Full() bool { return len(q.h) >= q.cap }
 
 // Push inserts a message with the given rank (lower = served sooner).
 // Equal ranks are served in arrival order.
 func (q *Queue) Push(msg *packet.Message, rank uint64) PushResult {
 	if !q.Full() {
 		q.seq++
-		q.p.insert(entry{msg: msg, rank: rank, seq: q.seq})
+		q.h.push(entry{msg: msg, rank: rank, seq: q.seq})
 		q.pushed++
-		if n := q.p.size(); n > q.highWater {
+		if n := len(q.h); n > q.highWater {
 			q.highWater = n
 		}
 		return PushResult{Accepted: true}
@@ -136,8 +122,8 @@ func (q *Queue) Push(msg *packet.Message, rank uint64) PushResult {
 		return PushResult{}
 	}
 	// Lossy: evict the worst droppable occupant if the newcomer beats it.
-	w, loc, ok := q.p.worstDroppable()
-	if !ok {
+	i := q.worstDroppable()
+	if i < 0 {
 		// Everything resident is lossless; the newcomer itself is shed
 		// unless it is lossless too, in which case the push is refused
 		// and the caller must stall.
@@ -148,46 +134,59 @@ func (q *Queue) Push(msg *packet.Message, rank uint64) PushResult {
 		q.drops++
 		return PushResult{Accepted: true, Dropped: msg}
 	}
+	w := q.h[i]
 	newcomerLoses := rank > w.rank || (rank == w.rank && !msg.Lossless())
 	if newcomerLoses && !msg.Lossless() {
 		q.drops++
 		return PushResult{Accepted: true, Dropped: msg}
 	}
-	q.p.removeAt(loc)
+	q.h.removeAt(i)
 	q.seq++
-	q.p.insert(entry{msg: msg, rank: rank, seq: q.seq})
+	q.h.push(entry{msg: msg, rank: rank, seq: q.seq})
 	q.pushed++
 	q.drops++
 	q.evicted++
 	return PushResult{Accepted: true, Dropped: w.msg}
 }
 
+// worstDroppable returns the index of the entry the lossy overflow policy
+// evicts: maximum rank, ties to the largest seq (youngest, so older traffic
+// survives), never a lossless message; -1 if every resident is lossless.
+// O(n), but it runs only on overflow of a DropLowestPriority queue, not on
+// the served path.
+func (q *Queue) worstDroppable() int {
+	worst := -1
+	for i, e := range q.h {
+		if !e.msg.Lossless() && (worst < 0 || eless(q.h[worst], e)) {
+			worst = i
+		}
+	}
+	return worst
+}
+
 // Peek returns the best-ranked message without removing it.
 func (q *Queue) Peek() (*packet.Message, bool) {
-	e, ok := q.p.peekMin()
-	if !ok {
+	if len(q.h) == 0 {
 		return nil, false
 	}
-	return e.msg, true
+	return q.h[0].msg, true
 }
 
 // PeekRank returns the best rank present.
 func (q *Queue) PeekRank() (uint64, bool) {
-	e, ok := q.p.peekMin()
-	if !ok {
+	if len(q.h) == 0 {
 		return 0, false
 	}
-	return e.rank, true
+	return q.h[0].rank, true
 }
 
 // Pop removes and returns the best-ranked message.
 func (q *Queue) Pop() (*packet.Message, bool) {
-	e, ok := q.p.popMin()
-	if !ok {
+	if len(q.h) == 0 {
 		return nil, false
 	}
 	q.popped++
-	return e.msg, true
+	return q.h.pop().msg, true
 }
 
 // Stats returns (pushed, popped, dropped, rejected, high-water mark).
@@ -202,14 +201,17 @@ func (q *Queue) Evicted() uint64 { return q.evicted }
 // It exists for occupancy audits (per-tenant conservation); scheduling
 // order comes only from Pop.
 func (q *Queue) Each(fn func(msg *packet.Message, rank uint64)) {
-	q.p.each(func(e entry) { fn(e.msg, e.rank) })
+	for _, e := range q.h {
+		fn(e.msg, e.rank)
+	}
 }
 
-// Audit checks the queue's internal conservation and bound invariants:
-// occupancy equals pushed − popped − evicted, occupancy and the high-water
-// mark never exceed capacity. It returns the first violation found.
+// Audit checks the queue's internal conservation, bound and ordering
+// invariants: occupancy equals pushed − popped − evicted, occupancy and the
+// high-water mark never exceed capacity, and no entry's (rank, seq) is
+// below its heap parent's. It returns the first violation found.
 func (q *Queue) Audit() error {
-	n := uint64(q.p.size())
+	n := uint64(len(q.h))
 	if want := q.pushed - q.popped - q.evicted; n != want {
 		return fmt.Errorf("sched: occupancy %d != pushed %d - popped %d - evicted %d",
 			n, q.pushed, q.popped, q.evicted)
@@ -220,12 +222,12 @@ func (q *Queue) Audit() error {
 	if q.highWater > q.cap {
 		return fmt.Errorf("sched: high-water %d exceeds capacity %d", q.highWater, q.cap)
 	}
-	// The iterator must agree with size(): a desynced bitmap or stale
-	// bucket head would silently corrupt scheduling order.
-	var visited uint64
-	q.p.each(func(entry) { visited++ })
-	if visited != n {
-		return fmt.Errorf("sched: iterator visited %d entries, size reports %d", visited, n)
+	// A broken heap order would silently corrupt scheduling order.
+	for i := 1; i < len(q.h); i++ {
+		if p := (i - 1) / 2; eless(q.h[i], q.h[p]) {
+			return fmt.Errorf("sched: heap order: entry %d (rank %d, seq %d) below its parent %d (rank %d, seq %d)",
+				i, q.h[i].rank, q.h[i].seq, p, q.h[p].rank, q.h[p].seq)
+		}
 	}
 	return nil
 }
@@ -236,74 +238,72 @@ type entry struct {
 	seq  uint64
 }
 
-// heapPifo is the original container/heap pifo, retained as the ablation
-// baseline behind NewHeapQueue. Its heap.Push boxes each entry through
-// interface{}, so unlike the calendar queue it allocates per push.
-type heapPifo struct{ h entryHeap }
+// eheap is a binary min-heap of entries ordered by (rank, seq), written
+// against the concrete type so pushes do not box through interface{} the
+// way container/heap does, keeping the served path allocation-free once
+// the backing array has grown to the queue's high-water mark.
+type eheap []entry
 
-func (p *heapPifo) size() int      { return len(p.h) }
-func (p *heapPifo) insert(e entry) { heap.Push(&p.h, e) }
-
-func (p *heapPifo) peekMin() (entry, bool) {
-	if len(p.h) == 0 {
-		return entry{}, false
-	}
-	return p.h[0], true
+func eless(a, b entry) bool {
+	return a.rank < b.rank || (a.rank == b.rank && a.seq < b.seq)
 }
 
-func (p *heapPifo) popMin() (entry, bool) {
-	if len(p.h) == 0 {
-		return entry{}, false
-	}
-	return heap.Pop(&p.h).(entry), true
+func (h *eheap) push(e entry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
 }
 
-// worstDroppable returns the highest-rank droppable entry; ties prefer the
-// youngest (largest seq), so older traffic survives.
-func (p *heapPifo) worstDroppable() (entry, dropLoc, bool) {
-	worst := -1
-	for i, e := range p.h {
-		if e.msg.Lossless() {
-			continue
+func (h eheap) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eless(h[i], h[p]) {
+			break
 		}
-		if worst < 0 || e.rank > p.h[worst].rank ||
-			(e.rank == p.h[worst].rank && e.seq > p.h[worst].seq) {
-			worst = i
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (h eheap) down(i int) {
+	n := len(h)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
 		}
-	}
-	if worst < 0 {
-		return entry{}, dropLoc{}, false
-	}
-	return p.h[worst], dropLoc{idx: worst}, true
-}
-
-func (p *heapPifo) removeAt(loc dropLoc) { heap.Remove(&p.h, loc.idx) }
-
-func (p *heapPifo) each(fn func(e entry)) {
-	for _, e := range p.h {
-		fn(e)
+		m := l
+		if r := l + 1; r < n && eless(h[r], h[l]) {
+			m = r
+		}
+		if !eless(h[m], h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
 }
 
-type entryHeap []entry
-
-func (h entryHeap) Len() int { return len(h) }
-
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].rank != h[j].rank {
-		return h[i].rank < h[j].rank
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h entryHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *entryHeap) Push(x any) { *h = append(*h, x.(entry)) }
-
-func (h *entryHeap) Pop() any {
+func (h *eheap) pop() entry {
 	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+	n := len(old) - 1
+	e := old[0]
+	old[0] = old[n]
+	old[n] = entry{} // drop the message reference
+	*h = old[:n]
+	if n > 0 {
+		old[:n].down(0)
+	}
 	return e
+}
+
+func (h *eheap) removeAt(i int) {
+	old := *h
+	n := len(old) - 1
+	old[i] = old[n]
+	old[n] = entry{}
+	*h = old[:n]
+	if i < n {
+		old[:n].down(i)
+		old[:n].up(i)
+	}
 }

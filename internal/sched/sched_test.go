@@ -122,6 +122,23 @@ func TestQueueValidation(t *testing.T) {
 	NewQueue(0, Backpressure)
 }
 
+// TestQueueAuditCatchesHeapDisorder: swapping two resident entries breaks
+// the heap order, which Audit must report even though every count still
+// balances.
+func TestQueueAuditCatchesHeapDisorder(t *testing.T) {
+	q := NewQueue(8, Backpressure)
+	for i := uint64(1); i <= 5; i++ {
+		q.Push(bulkMsg(i), i*10)
+	}
+	if err := q.Audit(); err != nil {
+		t.Fatalf("healthy queue: %v", err)
+	}
+	q.h[0], q.h[1] = q.h[1], q.h[0]
+	if err := q.Audit(); err == nil {
+		t.Fatal("Audit accepted a heap whose root outranks its child")
+	}
+}
+
 func TestPeek(t *testing.T) {
 	q := NewQueue(4, Backpressure)
 	if _, ok := q.Peek(); ok {
