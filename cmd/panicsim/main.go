@@ -135,7 +135,8 @@ func main() {
 	}()
 
 	// Sizes no simulator can build are usage errors, not panics. A PANIC
-	// mesh needs at least 4 columns and 3 rows (core.NewNIC).
+	// mesh needs at least 4 columns and 3 rows, and seats at most
+	// core.Config.MaxRMTPipelines pipelines (core.NewNIC).
 	for _, f := range []struct {
 		name   string
 		v, min int
@@ -150,6 +151,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-%s must be >= %d (got %d)\n", f.name, f.min, f.v)
 			os.Exit(2)
 		}
+	}
+	geom := core.DefaultConfig()
+	geom.Mesh.Height = *meshK
+	if max := geom.MaxRMTPipelines(); *pipelines > max {
+		fmt.Fprintf(os.Stderr, "-pipelines must be <= %d on a %dx%d mesh (got %d)\n", max, *meshK, *meshK, *pipelines)
+		os.Exit(2)
 	}
 	if *serveMode {
 		if *arch != "panic" {

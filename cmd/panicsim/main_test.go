@@ -46,6 +46,8 @@ func TestRejectsBadGeometry(t *testing.T) {
 		{"-mesh 3", "-mesh must be >= 4 (got 3)"},
 		{"-width 0", "-width must be >= 1 (got 0)"},
 		{"-pipelines 0", "-pipelines must be >= 1 (got 0)"},
+		{"-mesh 6 -pipelines 4", "-pipelines must be <= 3 on a 6x6 mesh (got 4)"},
+		{"-mesh 8 -pipelines 5", "-pipelines must be <= 4 on a 8x8 mesh (got 5)"},
 		{"-arch manycore -cores 0", "-cores must be >= 1 (got 0)"},
 	} {
 		code, stderr := runMain(t, "-cycles 1000 "+tc.args)

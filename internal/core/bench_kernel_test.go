@@ -11,15 +11,15 @@ import (
 // benchNIC assembles the benchmark NIC: the canonical two-port
 // configuration under a saturating two-tenant mix, so the Eval phase has
 // work on every tile each cycle.
-func benchNIC(fastForward bool, load float64, pool *packet.MessagePool) *NIC {
+func benchNIC(fastForward bool, load float64) *NIC {
 	cfg := DefaultConfig()
 	cfg.FastForward = fastForward
-	return NewNIC(cfg, benchSources(load, pool))
+	return NewNIC(cfg, benchSources(load))
 }
 
 // benchSources is the two-tenant saturating mix every throughput
 // benchmark (and the invariant-overhead gate) feeds the NIC.
-func benchSources(load float64, pool *packet.MessagePool) []engine.Source {
+func benchSources(load float64) []engine.Source {
 	freq := DefaultConfig().FreqHz
 	return []engine.Source{
 		workload.NewKVSStream(workload.KVSTenantConfig{
@@ -30,7 +30,7 @@ func benchSources(load float64, pool *packet.MessagePool) []engine.Source {
 		}),
 		workload.NewFixedStream(workload.FixedStreamConfig{
 			FrameBytes: 256, RateGbps: 100 * load, FreqHz: freq,
-			Tenant: 2, Class: packet.ClassBulk, Seed: 22, Pool: pool,
+			Tenant: 2, Class: packet.ClassBulk, Seed: 22,
 		}),
 	}
 }
@@ -39,7 +39,7 @@ func benchSources(load float64, pool *packet.MessagePool) []engine.Source {
 // delivered messages per wall-second over a saturating workload. Run with
 // -benchmem to see the allocation diet.
 func BenchmarkKernelThroughput(b *testing.B) {
-	nic := benchNIC(false, 0.9, nil)
+	nic := benchNIC(false, 0.9)
 	nic.Run(2_000) // warm caches and fill the pipeline
 	before := nic.WireLat.Count + nic.HostLat.Count
 	b.ResetTimer()
@@ -64,7 +64,7 @@ func BenchmarkKernelSaturatedMode(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			cfg := DefaultConfig()
 			cfg.NoEventEngine = mode == "ticked"
-			nic := NewNIC(cfg, benchSources(0.9, nil))
+			nic := NewNIC(cfg, benchSources(0.9))
 			nic.Run(2_000) // warm caches and fill the pipeline
 			before := nic.WireLat.Count + nic.HostLat.Count
 			b.ResetTimer()
@@ -80,29 +80,6 @@ func BenchmarkKernelSaturatedMode(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelThroughputPooled is the saturating run with the
-// message pool wired from wire egress back to the bulk generator — the
-// -benchmem comparison point for the allocation diet.
-func BenchmarkKernelThroughputPooled(b *testing.B) {
-	pool := packet.NewMessagePool()
-	nic := benchNIC(false, 0.9, pool)
-	recycle := func(m *packet.Message, _ uint64) {
-		if m.Tenant == 2 {
-			pool.Put(m)
-		}
-	}
-	nic.WireLat.OnDeliver = recycle
-	nic.HostLat.OnDeliver = recycle
-	nic.Run(2_000)
-	b.ResetTimer()
-	nic.Run(uint64(b.N))
-	b.StopTimer()
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(b.N)/sec, "simcycles/s")
-	}
-}
-
 // BenchmarkKernelLowLoadFastForward measures the low-load latency-curve
 // case: a trickle of traffic with long idle gaps between packets. The
 // fast-forwarding kernel jumps the gaps; the stepping kernel grinds
@@ -114,7 +91,7 @@ func BenchmarkKernelLowLoadFastForward(b *testing.B) {
 			name = "fastforward"
 		}
 		b.Run(name, func(b *testing.B) {
-			nic := benchNIC(ff, 0.001, nil)
+			nic := benchNIC(ff, 0.001)
 			b.ResetTimer()
 			nic.Run(uint64(b.N))
 			b.StopTimer()

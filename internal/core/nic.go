@@ -203,6 +203,17 @@ type NIC struct {
 	Drops *stats.Counter
 }
 
+// MaxRMTPipelines is the most RMT pipelines the configured mesh seats in
+// its center column. Spread placement puts pipeline i on row 1+2i, clamped
+// to the last row, so (h+1)/2 fit; compact placement stacks them on rows
+// 0..h-1.
+func (c Config) MaxRMTPipelines() int {
+	if c.CompactPlacement {
+		return c.Mesh.Height
+	}
+	return (c.Mesh.Height + 1) / 2
+}
+
 // NewNIC assembles a PANIC NIC. sources[i] feeds Ethernet port i and may
 // be nil for a TX-only port; len(sources) must not exceed cfg.Ports.
 func NewNIC(cfg Config, sources []engine.Source) *NIC {
@@ -213,7 +224,7 @@ func NewNIC(cfg Config, sources []engine.Source) *NIC {
 		panic("core: need at least one RMT pipeline")
 	}
 	w, h := cfg.Mesh.Width, cfg.Mesh.Height
-	if cfg.Ports > h || cfg.RMTPipelines > h || w < 4 || h < 3 {
+	if cfg.Ports > h || cfg.RMTPipelines > cfg.MaxRMTPipelines() || w < 4 || h < 3 {
 		panic(fmt.Sprintf("core: %dx%d mesh too small for %d ports and %d pipelines", w, h, cfg.Ports, cfg.RMTPipelines))
 	}
 	cfg.Program.Ports = cfg.Ports

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/panic-nic/panic/internal/engine"
@@ -263,6 +264,33 @@ func TestNICConfigValidation(t *testing.T) {
 			mutate(&cfg, &srcs)
 			NewNIC(cfg, srcs)
 		}()
+	}
+}
+
+// TestNICPipelineBound checks MaxRMTPipelines against placement: every
+// mesh height seats exactly that many pipelines under both placements, and
+// one more is rejected by the "mesh too small" guard rather than by a
+// placement collision.
+func TestNICPipelineBound(t *testing.T) {
+	for h := 3; h <= 8; h++ {
+		for _, compact := range []bool{false, true} {
+			cfg := DefaultConfig()
+			cfg.Mesh.Height = h
+			cfg.CompactPlacement = compact
+			cfg.RMTPipelines = cfg.MaxRMTPipelines()
+			NewNIC(cfg, nil)
+			cfg.RMTPipelines++
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "mesh too small") {
+						t.Errorf("h=%d compact=%v pipelines=%d: panic %q, want the mesh-too-small guard",
+							h, compact, cfg.RMTPipelines, msg)
+					}
+				}()
+				NewNIC(cfg, nil)
+			}()
+		}
 	}
 }
 

@@ -27,11 +27,7 @@ import (
 type StagedSink struct {
 	target Sink
 	buf    []stagedDelivery
-	// dirty points at ownDirty until the kernel redirects it into its
-	// contiguous flag arena (sim.DirtyRedirector).
-	dirty    *bool
-	ownDirty bool
-	wake     sim.Poker
+	wake   sim.Poker
 }
 
 type stagedDelivery struct {
@@ -42,9 +38,7 @@ type stagedDelivery struct {
 // NewStagedSink wraps target. The caller must register the result with the
 // kernel (it implements sim.Committer) adjacent to its producing tile.
 func NewStagedSink(target Sink) *StagedSink {
-	s := &StagedSink{target: target, buf: make([]stagedDelivery, 0, 8)}
-	s.dirty = &s.ownDirty
-	return s
+	return &StagedSink{target: target, buf: make([]stagedDelivery, 0, 8)}
 }
 
 // SetWaker wires the poker of the tile whose engine the wrapped target
@@ -56,11 +50,10 @@ func (s *StagedSink) SetWaker(p sim.Poker) { s.wake = p }
 // Deliver implements Sink: the delivery is buffered until Commit.
 func (s *StagedSink) Deliver(msg *packet.Message, now uint64) {
 	s.buf = append(s.buf, stagedDelivery{msg: msg, now: now})
-	*s.dirty = true
 }
 
 // Commit implements sim.Committer: buffered deliveries reach the target in
-// arrival order.
+// arrival order. An empty buffer returns at once.
 func (s *StagedSink) Commit() {
 	if len(s.buf) == 0 {
 		return
@@ -71,13 +64,4 @@ func (s *StagedSink) Commit() {
 		s.buf[i].msg = nil
 	}
 	s.buf = s.buf[:0]
-}
-
-// DirtyFlag implements sim.DirtyCommitter.
-func (s *StagedSink) DirtyFlag() *bool { return s.dirty }
-
-// RedirectDirty implements sim.DirtyRedirector.
-func (s *StagedSink) RedirectDirty(p *bool) {
-	*p = *s.dirty
-	s.dirty = p
 }

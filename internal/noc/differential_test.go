@@ -209,7 +209,9 @@ func runScenario(sc *diffScenario, m diffMesh, mode diffMode, audit func() error
 			err = fmt.Errorf("panic: %v", p)
 		}
 	}()
-	k := sim.NewKernelWithConfig(sim.KernelConfig{Freq: sim.GHz, EventDriven: mode.event, FastForward: mode.fastFwd})
+	k := sim.NewKernel(sim.GHz)
+	k.SetEventDriven(mode.event)
+	k.SetFastForward(mode.fastFwd)
 	m.RegisterWith(k)
 	tr := trace.New(trace.Options{})
 	m.AttachTracer(tr)

@@ -46,7 +46,6 @@ func (m *Mesh) stage(c *credits) {
 	if !c.dirty {
 		c.dirty = true
 		m.dirty = append(m.dirty, c)
-		m.dirtyFlag = true
 	}
 }
 

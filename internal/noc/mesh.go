@@ -54,8 +54,8 @@ func DefaultMeshConfig() MeshConfig {
 // Mesh is a 2D mesh of wormhole routers. It implements Fabric, sim.Ticker,
 // sim.Preparer (publishing the cycle before Eval), sim.EventAware (letting
 // idle and streaming routers sleep), sim.Quiescer (reporting idleness for
-// fast-forward) and sim.DirtyCommitter: every router lane and local queue
-// is mesh-owned staged state that the mesh commits itself, so RegisterWith
+// fast-forward) and sim.Committer: every router lane and local queue is
+// mesh-owned staged state that the mesh commits itself, so RegisterWith
 // adds exactly one component to a kernel. Routers only read committed
 // state from their neighbors' lanes and stage writes into them, so the
 // order in which Tick visits them does not matter.
@@ -75,9 +75,8 @@ type Mesh struct {
 	statsReset bool
 
 	// dirty lists every lane and local queue staged this cycle; Commit
-	// applies them. dirtyFlag is the kernel's skip flag for Commit.
-	dirty     []*credits
-	dirtyFlag bool
+	// applies them.
+	dirty []*credits
 	// parked counts messages sitting in eject queues.
 	parked int
 
@@ -380,18 +379,14 @@ func (m *Mesh) RegisterWith(k *sim.Kernel) {
 }
 
 // Commit implements sim.Committer: every lane and local queue staged this
-// cycle makes its pushes visible and returns its pops' credits.
+// cycle makes its pushes visible and returns its pops' credits. A cycle in
+// which nothing moved leaves the list empty, and Commit returns at once.
 func (m *Mesh) Commit() {
 	for _, c := range m.dirty {
 		c.commit()
 	}
 	m.dirty = m.dirty[:0]
 }
-
-// DirtyFlag implements sim.DirtyCommitter: the flag is raised whenever a
-// lane or queue joins the commit list, so a cycle in which nothing moved
-// skips Commit.
-func (m *Mesh) DirtyFlag() *bool { return &m.dirtyFlag }
 
 // node returns the router at n, panicking with the entry point's name when
 // n is not a node of this mesh.

@@ -27,7 +27,8 @@ func BenchmarkMeshMTUStream(b *testing.B) {
 	cfg := DefaultMeshConfig()
 	cfg.FlitWidthBits = 128
 	m := NewMesh(cfg)
-	k := sim.NewKernelWithConfig(sim.KernelConfig{Freq: 500 * sim.MHz, EventDriven: true})
+	k := sim.NewKernel(500 * sim.MHz)
+	k.SetEventDriven(true)
 	m.RegisterWith(k)
 	k.Register(newUniformDriver(m, 1500, 0.003, 7))
 	k.Run(20_000)

@@ -177,6 +177,12 @@ func TestIngestValidation(t *testing.T) {
 			t.Errorf("%s: status %d (%v), want 400", c.name, resp.StatusCode, body)
 		}
 	}
+	// A tenant too wide for 16 bits is refused at parse time, naming its
+	// line, instead of wrapping into a valid tenant.
+	resp, body := do(t, "POST", ts.URL+"/ingest/trace?port=0", "0 1 1 1 1 0 0 0\n0 65537 1 1 42 0 0 0\n")
+	if msg, _ := body["error"].(string); resp.StatusCode != http.StatusBadRequest || !strings.Contains(msg, "line 2") {
+		t.Errorf("tenant 65537: status %d body %v, want 400 naming line 2", resp.StatusCode, body)
+	}
 }
 
 // waitTenantWeight polls GET /tenants/{id} until the published snapshot

@@ -2,98 +2,6 @@ package sim
 
 import "fmt"
 
-// Reg is a single-producer single-consumer staged register: a value written
-// during Eval becomes readable only after Commit, modeling a flow-controlled
-// pipeline register between two synchronous components.
-//
-// Order independence: the writer's view (CanSend) depends only on the staged
-// slot and the reader's view (CanRecv/Recv) only on the committed slot, so
-// the cycle's outcome does not depend on which side ticks first. When the
-// reader drains every cycle the register sustains one value per cycle; when
-// the reader stalls, the staged value waits and the writer sees backpressure
-// the next cycle. The zero value is an empty register.
-type Reg[T any] struct {
-	cur, next     T
-	curOK, nextOK bool
-	// dirty points at ownDirty until the kernel redirects it into its
-	// contiguous flag arena (see DirtyRedirector); nil on a zero register
-	// until the first mark.
-	dirty    *bool
-	ownDirty bool
-}
-
-// mark raises the dirty flag, resolving the zero register's unset pointer.
-func (r *Reg[T]) mark() {
-	d := r.dirty
-	if d == nil {
-		d = &r.ownDirty
-		r.dirty = d
-	}
-	*d = true
-}
-
-// CanSend reports whether the register can accept a write this cycle.
-func (r *Reg[T]) CanSend() bool { return !r.nextOK }
-
-// Send stages a value. It panics if a value has already been staged this
-// cycle: two writers racing for one register is a model bug.
-func (r *Reg[T]) Send(v T) {
-	if r.nextOK {
-		panic("sim: Reg.Send on a register already written this cycle")
-	}
-	r.next = v
-	r.nextOK = true
-	r.mark()
-}
-
-// CanRecv reports whether a committed value is available.
-func (r *Reg[T]) CanRecv() bool { return r.curOK }
-
-// Peek returns the committed value without consuming it.
-func (r *Reg[T]) Peek() (T, bool) { return r.cur, r.curOK }
-
-// Recv consumes and returns the committed value. It panics when empty.
-func (r *Reg[T]) Recv() T {
-	if !r.curOK {
-		panic("sim: Reg.Recv on empty register")
-	}
-	r.curOK = false
-	var zero T
-	v := r.cur
-	r.cur = zero
-	r.mark()
-	return v
-}
-
-// Commit implements Committer: if the committed slot is free (the reader
-// consumed it, or it was already empty), the staged value moves in;
-// otherwise it stays staged and the writer stalls.
-func (r *Reg[T]) Commit() {
-	if r.nextOK && !r.curOK {
-		r.cur, r.curOK = r.next, true
-		var zero T
-		r.next, r.nextOK = zero, false
-	}
-}
-
-// DirtyFlag implements DirtyCommitter: the flag is raised by Send and Recv
-// (a staged write may need moving; a consumed slot may unblock one) and
-// cleared by the kernel after Commit. A clean register's Commit is a
-// provable no-op: with no send or receive since the last commit, either
-// nothing is staged or the committed slot is still occupied.
-func (r *Reg[T]) DirtyFlag() *bool {
-	if r.dirty == nil {
-		r.dirty = &r.ownDirty
-	}
-	return r.dirty
-}
-
-// RedirectDirty implements DirtyRedirector.
-func (r *Reg[T]) RedirectDirty(p *bool) {
-	*p = *r.DirtyFlag()
-	r.dirty = p
-}
-
 // FIFO is a single-producer single-consumer staged bounded queue: pushes
 // become visible and pops take effect only at Commit, so within a cycle the
 // producer and consumer may run in either order.
@@ -113,10 +21,6 @@ type FIFO[T any] struct {
 	staged  int // pushes staged this cycle, stored after the committed run
 	nPopped int
 	cap     int
-	// dirty points at ownDirty until the kernel redirects it into its
-	// contiguous flag arena (see DirtyRedirector).
-	dirty    *bool
-	ownDirty bool
 }
 
 // NewFIFO returns a FIFO with the given capacity. Capacity must be positive.
@@ -124,9 +28,7 @@ func NewFIFO[T any](capacity int) *FIFO[T] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: NewFIFO capacity %d", capacity))
 	}
-	f := &FIFO[T]{buf: make([]T, capacity), cap: capacity}
-	f.dirty = &f.ownDirty
-	return f
+	return &FIFO[T]{buf: make([]T, capacity), cap: capacity}
 }
 
 // idx maps a logical offset from head to a ring index. Offsets never exceed
@@ -162,18 +64,6 @@ func (f *FIFO[T]) Push(v T) {
 	}
 	f.buf[f.idx(f.n+f.staged)] = v
 	f.staged++
-	*f.dirty = true
-}
-
-// DirtyFlag implements DirtyCommitter: any Push or Pop since the last
-// commit raises the flag; the kernel clears it after calling Commit. A
-// clean FIFO's Commit is a provable no-op: nothing staged, nothing popped.
-func (f *FIFO[T]) DirtyFlag() *bool { return f.dirty }
-
-// RedirectDirty implements DirtyRedirector.
-func (f *FIFO[T]) RedirectDirty(p *bool) {
-	*p = *f.dirty
-	f.dirty = p
 }
 
 // CanPop reports whether a committed value is available this cycle.
@@ -196,12 +86,12 @@ func (f *FIFO[T]) Pop() T {
 	}
 	v := f.buf[f.idx(f.nPopped)]
 	f.nPopped++
-	*f.dirty = true
 	return v
 }
 
 // Commit implements Committer: staged pops are reclaimed and staged pushes
-// become visible.
+// become visible. With nothing pushed or popped since the last commit it
+// changes nothing.
 func (f *FIFO[T]) Commit() {
 	if f.nPopped > 0 {
 		// Zero the reclaimed slots so popped pointers don't pin garbage.

@@ -74,7 +74,8 @@ func (i *idleTicker) NextWork(now uint64) (uint64, bool) {
 // TestFastForwardSkipsIdleCycles checks the jump lands exactly on work
 // cycles and that the end state matches a stepped run.
 func TestFastForwardSkipsIdleCycles(t *testing.T) {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, FastForward: true})
+	k := NewKernel(GHz)
+	k.SetFastForward(true)
 	it := &idleTicker{period: 10}
 	k.Register(it)
 	k.Run(100)
@@ -98,7 +99,8 @@ func TestFastForwardSkipsIdleCycles(t *testing.T) {
 // TestFastForwardBoundedByEvents checks a scheduled event interrupts an
 // otherwise unbounded idle jump.
 func TestFastForwardBoundedByEvents(t *testing.T) {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, FastForward: true})
+	k := NewKernel(GHz)
+	k.SetFastForward(true)
 	var tickedAt []uint64
 	q := quiescentTicker{onTick: func(c uint64) { tickedAt = append(tickedAt, c) }}
 	k.Register(&q)
@@ -129,7 +131,8 @@ func (q *quiescentTicker) NextWork(now uint64) (uint64, bool) { return 0, true }
 // TestFastForwardInertWithOpaqueTicker: one Ticker without NextWork makes
 // every cycle potentially live, so nothing is skipped.
 func TestFastForwardInertWithOpaqueTicker(t *testing.T) {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, FastForward: true})
+	k := NewKernel(GHz)
+	k.SetFastForward(true)
 	n := 0
 	k.Register(TickFunc(func(uint64) { n++ }))
 	k.Run(64)
@@ -144,7 +147,8 @@ func TestFastForwardInertWithOpaqueTicker(t *testing.T) {
 // TestRunUntilFastForward: the predicate still terminates the run, and the
 // clock lands exactly where stepping would have put it.
 func TestRunUntilFastForward(t *testing.T) {
-	k := NewKernelWithConfig(KernelConfig{Freq: GHz, FastForward: true})
+	k := NewKernel(GHz)
+	k.SetFastForward(true)
 	it := &idleTicker{period: 100}
 	k.Register(it)
 	ok := k.RunUntil(func() bool { return it.work >= 3 }, 10000)

@@ -15,7 +15,8 @@
 //     read or rewrite state shared across many tiles (e.g. a health monitor
 //     rewriting steering tables). The event-driven loop never gates them.
 //  5. Commit: every registered Committer makes the staged writes visible,
-//     in registration order.
+//     in registration order. Every Committer is called every stepped
+//     cycle; one with nothing staged returns at once.
 //
 // Because Eval never observes same-cycle writes, the result of a cycle is
 // independent of the order in which components are ticked, which makes the
@@ -73,23 +74,6 @@ type TickFunc func(cycle uint64)
 // Tick implements Ticker.
 func (f TickFunc) Tick(cycle uint64) { f(cycle) }
 
-// KernelConfig parameterizes a Kernel beyond its clock frequency.
-type KernelConfig struct {
-	// Freq is the clock frequency.
-	Freq Frequency
-	// FastForward lets Run/RunUntil jump the clock over cycles in which no
-	// registered component has work. It only ever engages when every
-	// registered Ticker implements Quiescer; otherwise it is inert.
-	FastForward bool
-	// EventDriven selects the event-driven loop: each cycle only ticks
-	// components whose declared wake cycle has arrived or that were poked,
-	// instead of every registered Ticker. Byte-identical to the ticked
-	// loop; see EventAware.
-	EventDriven bool
-	// EventCap pre-sizes the event heap (an allocation hint; 0 is fine).
-	EventCap int
-}
-
 // Kernel drives a set of Tickers and Committers with a shared clock.
 type Kernel struct {
 	clock      Clock
@@ -106,14 +90,6 @@ type Kernel struct {
 
 	fastForward bool
 	skipped     uint64
-
-	// commitFlags parallels committers: non-nil entries are DirtyCommitter
-	// flags letting the Commit phase skip provably clean committers. Active
-	// in both kernel modes. DirtyRedirector flags live in dirtySlots, the
-	// kernel-owned contiguous arena, so the per-cycle scan stays in a few
-	// cache lines.
-	commitFlags []*bool
-	dirtySlots  dirtyArena
 
 	// Event-driven mode state; the four slices parallel tickers.
 	eventDriven bool
@@ -139,20 +115,11 @@ type Kernel struct {
 	obsDue []func(now uint64) uint64
 }
 
-// NewKernel returns a kernel whose clock runs at the given frequency.
+// NewKernel returns a ticked kernel, fast-forward off, whose clock runs at
+// the given frequency. SetEventDriven and SetFastForward select the other
+// modes.
 func NewKernel(freq Frequency) *Kernel {
-	return NewKernelWithConfig(KernelConfig{Freq: freq})
-}
-
-// NewKernelWithConfig returns a kernel with the given configuration.
-func NewKernelWithConfig(cfg KernelConfig) *Kernel {
-	k := &Kernel{clock: Clock{freq: cfg.Freq}, tickerIdx: make(map[any]int)}
-	k.fastForward = cfg.FastForward
-	k.SetEventDriven(cfg.EventDriven)
-	if cfg.EventCap > 0 {
-		k.events.h = make(eventHeap, 0, cfg.EventCap)
-	}
-	return k
+	return &Kernel{clock: Clock{freq: freq}, tickerIdx: make(map[any]int)}
 }
 
 // Clock returns the kernel's clock (current cycle plus frequency).
@@ -166,11 +133,8 @@ func (k *Kernel) Now() uint64 { return k.clock.cycle }
 // Quiescer.
 func (k *Kernel) SetFastForward(on bool) { k.fastForward = on }
 
-// FastForwardEnabled reports whether fast-forward is configured on.
-func (k *Kernel) FastForwardEnabled() bool { return k.fastForward }
-
 // Committers returns the number of registered Committers: the components
-// the Commit phase visits (or proves clean) every stepped cycle.
+// the Commit phase visits every stepped cycle.
 func (k *Kernel) Committers() int { return len(k.committers) }
 
 // SkippedCycles returns how many cycles fast-forward has jumped over. Every
@@ -211,17 +175,6 @@ func (k *Kernel) register(c any, tickers []Ticker, serial bool) []Ticker {
 	}
 	if cm, isC := c.(Committer); isC {
 		k.committers = append(k.committers, cm)
-		var flag *bool
-		if dr, isR := c.(DirtyRedirector); isR {
-			flag = k.dirtySlots.alloc()
-			dr.RedirectDirty(flag)
-		} else if dc, isD := c.(DirtyCommitter); isD {
-			flag = dc.DirtyFlag()
-		}
-		if flag != nil {
-			*flag = true // commit once before the first skip
-		}
-		k.commitFlags = append(k.commitFlags, flag)
 		ok = true
 	}
 	if !ok {
@@ -322,8 +275,8 @@ func (k *Kernel) Stop() { k.stopped = true }
 // the Eval phase only runs tickers whose wake cycle has arrived or that
 // were poked (liveness is sampled sequentially after start-of-cycle events,
 // so an event callback's poke takes effect the same cycle); serial tickers,
-// Begin, and observers always run, and the Commit phase skips committers
-// whose dirty flag proves them clean in either mode.
+// Begin, every Committer and observers always run, in either mode. A
+// Committer with nothing staged returns at once.
 func (k *Kernel) Step() {
 	k.clock.started = true
 	cycle := k.clock.cycle
@@ -350,15 +303,7 @@ func (k *Kernel) Step() {
 	for _, t := range k.serial {
 		t.Tick(cycle)
 	}
-	for i, c := range k.committers {
-		if f := k.commitFlags[i]; f != nil {
-			if !*f {
-				continue
-			}
-			c.Commit()
-			*f = false
-			continue
-		}
+	for _, c := range k.committers {
 		c.Commit()
 	}
 	if k.eventDriven {
@@ -383,15 +328,8 @@ func (k *Kernel) Run(n uint64) {
 	k.wakeAllNext = k.eventDriven
 	end := k.clock.cycle + n
 	for k.clock.cycle < end && !k.stopped {
-		if k.fastForward {
-			if k.eventDriven {
-				k.skipIdleEvent(end)
-			} else {
-				k.skipIdle(end)
-			}
-			if k.clock.cycle >= end {
-				break
-			}
+		if !k.fastForwardTo(end) {
+			break
 		}
 		k.Step()
 	}
@@ -418,20 +356,27 @@ func (k *Kernel) RunUntil(pred func() bool, maxCycles uint64) bool {
 		if pred() {
 			return true
 		}
-		if k.fastForward {
-			if k.eventDriven {
-				k.skipIdleEvent(end)
-			} else {
-				k.skipIdle(end)
-			}
-			if k.clock.cycle >= end {
-				break
-			}
+		if !k.fastForwardTo(end) {
+			break
 		}
 		k.Step()
 	}
 	k.syncAll()
 	return pred()
+}
+
+// fastForwardTo jumps the clock over provably idle cycles before the next
+// Step when fast-forward is on, using the skip rule of the active loop. It
+// reports whether a cycle before end is left to step.
+func (k *Kernel) fastForwardTo(end uint64) bool {
+	if k.fastForward {
+		if k.eventDriven {
+			k.skipIdleEvent(end)
+		} else {
+			k.skipIdle(end)
+		}
+	}
+	return k.clock.cycle < end
 }
 
 // Frequency is a clock frequency in hertz.

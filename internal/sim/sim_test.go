@@ -37,28 +37,28 @@ func TestFrequencyString(t *testing.T) {
 }
 
 func TestKernelTickOrderIndependence(t *testing.T) {
-	// Two components communicating through a Reg must produce the same
-	// per-cycle observations regardless of registration order.
+	// Two components communicating through a capacity-2 FIFO must produce
+	// the same per-cycle observations regardless of registration order.
 	run := func(writerFirst bool) []int {
 		k := NewKernel(1 * GHz)
-		var link Reg[int]
+		link := NewFIFO[int](2)
 		var seen []int
 		n := 0
 		writer := TickFunc(func(uint64) {
-			if link.CanSend() {
+			if link.CanPush() {
 				n++
-				link.Send(n)
+				link.Push(n)
 			}
 		})
 		reader := TickFunc(func(uint64) {
-			if link.CanRecv() {
-				seen = append(seen, link.Recv())
+			if link.CanPop() {
+				seen = append(seen, link.Pop())
 			}
 		})
 		if writerFirst {
-			k.Register(writer, reader, &link)
+			k.Register(writer, reader, link)
 		} else {
-			k.Register(reader, writer, &link)
+			k.Register(reader, writer, link)
 		}
 		k.Run(10)
 		return seen
@@ -148,48 +148,6 @@ func TestKernelRegisterRejectsUnknown(t *testing.T) {
 		}
 	}()
 	k.Register(42)
-}
-
-func TestRegBackpressure(t *testing.T) {
-	var r Reg[string]
-	if !r.CanSend() || r.CanRecv() {
-		t.Fatal("zero Reg should be sendable and empty")
-	}
-	r.Send("a")
-	if r.CanSend() {
-		t.Error("CanSend true after staging")
-	}
-	if r.CanRecv() {
-		t.Error("staged value visible before commit")
-	}
-	r.Commit()
-	if !r.CanRecv() {
-		t.Fatal("committed value not visible")
-	}
-	// Stage another while cur is unconsumed: it must wait across Commit.
-	r.Send("b")
-	r.Commit()
-	if got := r.Recv(); got != "a" {
-		t.Errorf("Recv = %q, want a", got)
-	}
-	if r.CanRecv() {
-		t.Error("b visible before its commit")
-	}
-	r.Commit()
-	if got := r.Recv(); got != "b" {
-		t.Errorf("Recv = %q, want b", got)
-	}
-}
-
-func TestRegDoubleSendPanics(t *testing.T) {
-	var r Reg[int]
-	r.Send(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("double Send did not panic")
-		}
-	}()
-	r.Send(2)
 }
 
 func TestFIFOOrderingAndBackpressure(t *testing.T) {
@@ -312,15 +270,15 @@ func TestRNGBool(t *testing.T) {
 
 func TestKernelObserveCycleEnd(t *testing.T) {
 	// Observers run after every Committer of the stepped cycle: a value
-	// staged into a Reg during Eval must already be committed (readable)
+	// staged into a FIFO during Eval must already be committed (readable)
 	// when the observer fires for that same cycle.
 	k := NewKernel(1 * GHz)
-	var link Reg[int]
+	link := NewFIFO[int](2)
 	k.Register(TickFunc(func(cycle uint64) {
-		if link.CanSend() {
-			link.Send(int(cycle) + 1)
+		if link.CanPush() {
+			link.Push(int(cycle) + 1)
 		}
-	}), &link)
+	}), link)
 
 	var cycles []uint64
 	var committed []int
@@ -328,7 +286,7 @@ func TestKernelObserveCycleEnd(t *testing.T) {
 		cycles = append(cycles, cycle)
 		if v, ok := link.Peek(); ok {
 			committed = append(committed, v)
-			link.Recv()
+			link.Pop()
 		}
 	})
 	k.Run(3)

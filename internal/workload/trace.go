@@ -29,6 +29,11 @@ type TraceRecord struct {
 // traceFields is the column count of the text format.
 const traceFields = 8
 
+// traceBits is the width of each column's field in TraceRecord (wan is a
+// 0/1 flag). ReadTrace parses every column at its own width, so a value
+// that does not fit is an error rather than a silent truncation.
+var traceBits = [traceFields]int{64, 16, 8, 8, 64, 32, 1, 8}
+
 // WriteTrace writes records in the repository's plain-text trace format:
 // one record per line,
 //
@@ -54,7 +59,9 @@ func WriteTrace(w io.Writer, records []TraceRecord) error {
 }
 
 // ReadTrace parses the text trace format. Records must be sorted by cycle;
-// out-of-order records are an error (replay is strictly chronological).
+// out-of-order records are an error (replay is strictly chronological), as
+// is a value too wide for its field (a tenant above 65535, a wan flag other
+// than 0 or 1). Every error names its line.
 func ReadTrace(r io.Reader) ([]TraceRecord, error) {
 	var records []TraceRecord
 	sc := bufio.NewScanner(r)
@@ -70,9 +77,9 @@ func ReadTrace(r io.Reader) ([]TraceRecord, error) {
 		if len(parts) != traceFields {
 			return nil, fmt.Errorf("workload: trace line %d has %d fields, want %d", line, len(parts), traceFields)
 		}
-		vals := make([]uint64, traceFields)
+		var vals [traceFields]uint64
 		for i, p := range parts {
-			v, err := strconv.ParseUint(p, 10, 64)
+			v, err := strconv.ParseUint(p, 10, traceBits[i])
 			if err != nil {
 				return nil, fmt.Errorf("workload: trace line %d field %d: %w", line, i+1, err)
 			}
@@ -85,7 +92,7 @@ func ReadTrace(r io.Reader) ([]TraceRecord, error) {
 			Op:        packet.KVSOp(vals[3]),
 			Key:       vals[4],
 			ValueLen:  uint32(vals[5]),
-			WAN:       vals[6] != 0,
+			WAN:       vals[6] == 1,
 			ClientNet: byte(vals[7]),
 		}
 		if rec.Op < packet.KVSGet || rec.Op > packet.KVSSetResp {

@@ -37,16 +37,34 @@ func TestTraceRoundTrip(t *testing.T) {
 }
 
 func TestTraceReadRejectsMalformed(t *testing.T) {
+	// The over-wide rows would wrap into valid-looking records (tenant
+	// 65537 into tenant 1) if a column were parsed at 64 bits and cast.
 	cases := map[string]string{
-		"fields":       "1 2 3\n",
-		"non-numeric":  "1 2 3 x 5 6 7 8\n",
-		"bad op":       "1 2 0 9 5 6 0 0\n",
-		"out of order": "100 1 1 1 0 0 0 0\n50 1 1 1 0 0 0 0\n",
+		"fields":         "1 2 3\n",
+		"non-numeric":    "1 2 3 x 5 6 7 8\n",
+		"bad op":         "1 2 0 9 5 6 0 0\n",
+		"out of order":   "100 1 1 1 0 0 0 0\n50 1 1 1 0 0 0 0\n",
+		"wide tenant":    "0 65537 1 1 42 0 0 0\n",
+		"wide class":     "0 1 257 1 42 0 0 0\n",
+		"wide op":        "0 1 1 257 42 0 0 0\n",
+		"wide valueLen":  "0 1 1 1 42 4294967296 0 0\n",
+		"wan not a flag": "0 1 1 1 42 0 2 0\n",
+		"wide clientNet": "0 1 1 1 42 0 0 256\n",
+		"wide, 2nd line": "0 1 1 1 1 0 0 0\n0 65537 1 1 42 0 0 0\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadTrace(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
+		want := "line 1"
+		if strings.Count(in, "\n") == 2 {
+			want = "line 2"
 		}
+		if _, err := ReadTrace(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err %v, want an error naming %s", name, err, want)
+		}
+	}
+	// The widest value of every field still parses.
+	got, err := ReadTrace(strings.NewReader("18446744073709551615 65535 255 1 18446744073709551615 4294967295 1 255\n"))
+	if err != nil || len(got) != 1 || got[0].Tenant != 65535 || got[0].ValueLen != 4294967295 || !got[0].WAN || got[0].ClientNet != 255 {
+		t.Fatalf("max-width record: got %+v err %v", got, err)
 	}
 }
 

@@ -109,7 +109,6 @@ type FixedStream struct {
 	tenant     uint16
 	class      packet.Class
 	dstIP      packet.IP4
-	pool       *packet.MessagePool
 }
 
 // FixedStreamConfig parameterizes a FixedStream.
@@ -127,10 +126,6 @@ type FixedStreamConfig struct {
 	// Count bounds the stream (0 = unlimited).
 	Count uint64
 	Seed  uint64
-	// Pool, when set, recycles message shells: Poll reuses shells the
-	// consumer has Put back instead of allocating. The recycled and fresh
-	// paths produce byte-identical messages.
-	Pool *packet.MessagePool
 }
 
 // NewFixedStream builds the stream.
@@ -152,7 +147,6 @@ func NewFixedStream(cfg FixedStreamConfig) *FixedStream {
 		tenant:     cfg.Tenant,
 		class:      cfg.Class,
 		dstIP:      packet.IP4{10, 0, 0, 2},
-		pool:       cfg.Pool,
 	}
 }
 
@@ -169,46 +163,6 @@ func (s *FixedStream) Poll(now uint64) *packet.Message {
 	eth := packet.Ethernet{Dst: packet.MAC{2, 0, 0, 0, 0, 2}, Src: packet.MAC{2, 0, 0, 0, 0, 1}, EtherType: packet.EtherTypeIPv4}
 	ip := packet.IPv4{TTL: 64, Protocol: packet.ProtoUDP, Src: packet.IP4{10, 0, 0, 1}, Dst: s.dstIP}
 	udp := packet.UDP{SrcPort: uint16(4000 + s.tenant), DstPort: 9}
-	if s.pool != nil {
-		if m := s.pool.Get(); m != nil {
-			// Salvage the shell's eth/ip/udp layer structs and serialization
-			// buffer even when the pipeline left shims (e.g. a chain header)
-			// in the stack; a shell missing any of the three falls through
-			// to fresh allocation. The rebuilt message is byte-identical to
-			// the fresh path, so pooling never affects simulation results.
-			if m.Pkt != nil {
-				var re *packet.Ethernet
-				var ri *packet.IPv4
-				var ru *packet.UDP
-				for _, l := range m.Pkt.Layers {
-					switch v := l.(type) {
-					case *packet.Ethernet:
-						if re == nil {
-							re = v
-						}
-					case *packet.IPv4:
-						if ri == nil {
-							ri = v
-						}
-					case *packet.UDP:
-						if ru == nil {
-							ru = v
-						}
-					}
-				}
-				if re != nil && ri != nil && ru != nil {
-					*re, *ri, *ru = eth, ip, udp
-					m.Pkt.Layers = append(m.Pkt.Layers[:0], re, ri, ru)
-					m.Pkt.PayloadLen = payload
-					m.Pkt.Serialize()
-					m.ID = s.nextID
-					m.Tenant = s.tenant
-					m.Class = s.class
-					return m
-				}
-			}
-		}
-	}
 	return &packet.Message{
 		ID:     s.nextID,
 		Tenant: s.tenant,
